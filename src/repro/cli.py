@@ -51,7 +51,7 @@ Commands
     snapshot and compared against the newest earlier snapshot in the
     output directory with a noise-aware threshold.  ``run``,
     ``run-all`` and ``bench`` accept ``--preconditioner
-    auto|jacobi|amg|none`` to pin the SPD-solver policy (exported as
+    auto|jacobi|amg`` to pin the SPD-solver policy (exported as
     ``REPRO_PRECONDITIONER`` so pool workers inherit it).
 ``serve [--host H] [--port P] [--queue-depth N] ...``
     Run the experiment service daemon: an HTTP/JSON job API with a

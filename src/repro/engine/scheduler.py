@@ -2,18 +2,18 @@
 
 The scheduler executes any subset of the experiment registry with
 
+* **one dispatch path**: every launch hands a batch of N tasks to one
+  worker body, which reports each task's outcome as it finishes.  N
+  adapts to the backlog (``min(8, pending // (4 * jobs))``, at least
+  1), so small sweeps keep one process per task while large ones
+  amortise fork cost; retries and fault-plan runs always launch
+  singly, and a worker that dies mid-batch costs only the tasks it
+  never reported, which are retried singly;
 * a **process pool** (``jobs`` worker processes, forked on platforms
   that support it so monkeypatched registries propagate), a
   per-experiment **timeout** that actually kills the worker, and
   **bounded retries** spaced by exponential backoff with deterministic
   jitter (:class:`~repro.reliability.backoff.BackoffPolicy`);
-* **adaptive chunking** for large sweeps: when pending work exceeds
-  roughly four tasks per worker, fresh tasks are grouped into one
-  worker launch (:attr:`EngineConfig.chunk_size`; ``None`` adapts,
-  an explicit value pins it) to amortise fork cost, with per-task
-  outcome streaming so a crash mid-chunk only retries -- singly --
-  the tasks the worker never finished.  Retries and fault-plan runs
-  are never chunked;
 * **failure isolation**: a crashing, raising, or hanging runner yields
   a failed/timeout :class:`~repro.engine.records.RunRecord` while the
   rest of the sweep completes;
@@ -26,8 +26,8 @@ The scheduler executes any subset of the experiment registry with
   stored result (``shared`` wait phase) instead of recomputing, with
   TTL-bounded staleness so a crashed claimant never wedges a key;
 * **graceful shutdown**: SIGINT/SIGTERM (main thread only) switch the
-  scheduler into drain mode -- no new launches, in-flight workers and
-  chunks finish and store their results, never-launched tasks settle
+  scheduler into drain mode -- no new launches, in-flight batches
+  finish and store their results, never-launched tasks settle
   as ``cancelled`` records, and the journal is flushed on the normal
   exit path.  :attr:`SweepResult.interrupted` reports it and the CLI
   maps it to a distinct exit code;
@@ -41,10 +41,11 @@ The scheduler executes any subset of the experiment registry with
   each applied fault on :attr:`SweepResult.fired_faults` so the chaos
   harness can prove absorption.
 
-Two executors are provided: ``"process"`` (the default, full
-isolation) and ``"inline"`` (same caching and record-keeping but
-running in the calling process -- no timeout enforcement; used by the
-benchmark fixtures and wherever fork overhead would dominate).
+Two executors share that loop: ``"process"`` (the default, full
+isolation) forks a worker per batch, and ``"inline"`` calls the same
+worker body in the calling process, one task per batch -- no timeout
+enforcement; used by the benchmark fixtures and wherever fork
+overhead would dominate.
 
 Timing discipline: **every duration in this module is a difference of
 ``time.monotonic()`` readings** -- the adjustable wall clock is never
@@ -210,12 +211,6 @@ class EngineConfig:
     executor: str = EXECUTOR_PROCESS
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     fault_plan: FaultPlan | None = None
-    #: Tasks per worker launch.  ``None`` adapts to the sweep size
-    #: (chunks only form once pending work exceeds ~4 tasks per
-    #: worker, so small sweeps keep one-process-per-task isolation);
-    #: an explicit value pins it.  Retries and fault-plan runs always
-    #: execute singly.
-    chunk_size: int | None = None
     #: Lease in-flight cache entries so concurrent sweeps over the
     #: same cache directory never compute the same key twice: the
     #: claim loser polls for the winner's stored result instead of
@@ -226,7 +221,7 @@ class EngineConfig:
     claim_poll_s: float = 0.05
     #: Install SIGINT/SIGTERM handlers (main thread only) that drain
     #: in-flight tasks, cancel pending ones, and flush the journal
-    #: instead of tearing the pool down mid-chunk.
+    #: instead of tearing the pool down mid-batch.
     handle_signals: bool = True
     #: Optional no-arg callable invoked whenever the sweep makes
     #: genuine progress (a task finishes, a cache hit lands).  The
@@ -248,9 +243,6 @@ class EngineConfig:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.executor not in (EXECUTOR_PROCESS, EXECUTOR_INLINE):
             raise ValueError(f"unknown executor {self.executor!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.claim_ttl_s <= 0:
             raise ValueError(
                 f"claim_ttl_s must be > 0, got {self.claim_ttl_s}")
@@ -294,92 +286,60 @@ def _mp_context() -> multiprocessing.context.BaseContext:
         "fork" if "fork" in methods else "spawn")
 
 
-def _worker_entry(experiment_id: str, conn,
-                  fault: FaultSpec | None = None,
-                  traced: bool = False,
-                  context: dict | None = None) -> None:
-    """Child-process body: run one experiment, ship back the outcome.
+def _run_batch(experiment_ids: Sequence[str], send,
+               fault: FaultSpec | None = None, *, forked: bool = True,
+               traced: bool = False, context: dict | None = None) -> None:
+    """Worker body: run a batch of experiments in turn, reporting each.
 
-    With ``traced`` set, the worker records its own trace (a forked
-    parent trace would be a dead copy) and ships the span/counter
-    payload alongside the result so the parent can merge it.
-    ``context`` is the parent's correlation-field snapshot
-    (thread-local state does not survive fork from a non-main thread),
-    re-installed so worker spans and log records carry the job's ids.
+    Each experiment sends one ``("task", id, status, value, run_s)``
+    message as soon as it finishes (``value`` is the result, or the
+    exception's repr), so a worker that dies mid-batch has reported
+    exactly the tasks it finished; a trailing ``("done", payload)``
+    carries the worker trace.  ``fault`` is injected before every
+    runner; fault-plan batches are always single tasks.
+
+    A forked worker first drops the signal state it inherited: the
+    parent's SIGTERM handler (the engine's drain handler, or asyncio's
+    plus its wakeup fd under ``repro serve``) would swallow the
+    ``terminate()`` that enforces timeouts and forward it into the
+    parent's event loop.  SIGINT is ignored, as a terminal Ctrl-C
+    reaches the parent too, which drains.  ``traced`` records a worker
+    trace (a forked parent trace would be a dead copy); ``context``
+    re-installs the parent's correlation fields, which thread-local
+    state does not carry across fork.  The inline executor calls this
+    in-process with ``forked=False``: spans land in the caller's trace
+    and crash/hang faults degrade to exceptions.
     """
-    reset_tracing()  # a trace inherited over fork would swallow spans
-    if context:
-        set_trace_context(**context)
-    child_trace = Trace(f"worker-{experiment_id}") if traced else None
+    if forked:
+        signal_module.set_wakeup_fd(-1)
+        signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
+        signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
+        reset_tracing()  # a trace inherited over fork would swallow spans
+        if context:
+            set_trace_context(**context)
+    child_trace = Trace(f"worker-{experiment_ids[0]}") if traced else None
     if child_trace is not None:
         activate(child_trace)
+    from repro.analysis.experiments import EXPERIMENTS
+    for experiment_id in experiment_ids:
+        start = time.monotonic()
+        try:
+            apply_runner_fault(fault, allow_exit=forked)
+            with span("worker.run", experiment=experiment_id):
+                result = EXPERIMENTS[experiment_id].runner()
+            send(("task", experiment_id, STATUS_OK, result,
+                  time.monotonic() - start))
+        except Exception as exc:
+            send(("task", experiment_id, STATUS_FAILED, repr(exc),
+                  time.monotonic() - start))
     payload = None
-    try:
-        apply_runner_fault(fault, allow_exit=True)
-        from repro.analysis.experiments import EXPERIMENTS
-        with span("worker.run", experiment=experiment_id):
-            result = EXPERIMENTS[experiment_id].runner()
-        if child_trace is not None:
-            # The forked worker *is* the task, so its lifetime peaks
-            # are the task's cost; the parent max-merges the RSS gauge
-            # into the sweep-wide worker peak.
-            record_resource_metrics(child_trace.metrics, scope="task")
-            payload = child_trace.to_payload()
-        conn.send(("ok", result, payload))
-    except BaseException as exc:  # must cross the process boundary
-        try:
-            if child_trace is not None:
-                payload = child_trace.to_payload()
-            conn.send(("error", repr(exc), payload))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _worker_chunk_entry(experiment_ids: Sequence[str], conn,
-                        traced: bool = False,
-                        context: dict | None = None) -> None:
-    """Child-process body for a chunk: run several experiments in turn.
-
-    One outcome message is shipped per experiment as it finishes, so a
-    crash mid-chunk costs only the unfinished tasks -- the parent
-    retries exactly those, singly.  A trailing ``("done", payload)``
-    carries the worker trace for the whole chunk.
-    """
-    reset_tracing()
-    if context:
-        set_trace_context(**context)
-    child_trace = (Trace(f"worker-chunk-{experiment_ids[0]}")
-                   if traced else None)
     if child_trace is not None:
-        activate(child_trace)
-    try:
-        from repro.analysis.experiments import EXPERIMENTS
-        for experiment_id in experiment_ids:
-            start = time.monotonic()
-            try:
-                with span("worker.run", experiment=experiment_id,
-                          chunked=True):
-                    result = EXPERIMENTS[experiment_id].runner()
-                conn.send(("task", experiment_id, STATUS_OK, result,
-                           time.monotonic() - start))
-            except Exception as exc:
-                conn.send(("task", experiment_id, STATUS_FAILED,
-                           repr(exc), time.monotonic() - start))
-        payload = None
-        if child_trace is not None:
-            record_resource_metrics(child_trace.metrics, scope="task")
-            payload = child_trace.to_payload()
-        conn.send(("done", payload))
-    except BaseException:  # must not escape the process boundary
-        try:
-            conn.send(("done", child_trace.to_payload()
-                       if child_trace is not None else None))
-        except Exception:
-            pass
-    finally:
-        conn.close()
+        # The forked worker *is* the batch, so its lifetime peaks are
+        # the batch's cost; the parent max-merges the RSS gauge into
+        # the sweep-wide worker peak.
+        record_resource_metrics(child_trace.metrics, scope="task")
+        payload = child_trace.to_payload()
+    send(("done", payload))
 
 
 @dataclass
@@ -409,20 +369,42 @@ class _Task:
 
 @dataclass
 class _Slot:
-    task: _Task
-    process: multiprocessing.process.BaseProcess
-    conn: Any
-    deadline: float | None
-    launched: float
+    """One launched batch and the outcomes it has reported so far.
 
+    ``process`` is ``None`` for an inline batch, which has already run
+    to completion when its slot is created.
+    """
 
-@dataclass
-class _ChunkSlot:
     tasks: list[_Task]
-    process: multiprocessing.process.BaseProcess
-    conn: Any
-    deadline: float | None
     launched: float
+    deadline: float | None = None
+    process: multiprocessing.process.BaseProcess | None = None
+    conn: Any = None
+    #: experiment id -> (status, result or error repr, runner seconds)
+    outcomes: dict[str, tuple[str, Any, float]] = field(
+        default_factory=dict)
+    payload: Any = None
+
+    def receive(self, message: tuple) -> None:
+        """Take one message from :func:`_run_batch`."""
+        if message[0] == "task":
+            _, experiment_id, status, value, run_s = message
+            self.outcomes[experiment_id] = (status, value, run_s)
+        else:  # ("done", trace payload)
+            self.payload = message[1]
+
+    def drain(self) -> bool:
+        """Receive every message waiting on the worker pipe.
+
+        Returns True at end of file: the worker has closed its end of
+        the pipe, which it does only by exiting.
+        """
+        try:
+            while self.conn.poll(0):
+                self.receive(self.conn.recv())
+        except (EOFError, OSError):
+            return True
+        return False
 
 
 class ExecutionEngine:
@@ -499,12 +481,7 @@ class ExecutionEngine:
                         task.ready_at = time.monotonic()
                         pending.append(task)
 
-                if pending:
-                    if self.config.executor == EXECUTOR_INLINE:
-                        self._run_inline(EXPERIMENTS, pending, records,
-                                         results)
-                    else:
-                        self._run_processes(pending, records, results)
+                self._dispatch(pending, records, results)
         finally:
             restore_handlers()
 
@@ -593,14 +570,12 @@ class ExecutionEngine:
             except Exception:
                 pass
 
-    def _abort_all(self, running: list, pending: deque[_Task],
+    def _abort_all(self, running: list[_Slot], pending: deque[_Task],
                    records: dict[str, RunRecord]) -> None:
         """Tear down every slot and settle all remaining tasks."""
         for slot in running:
             self._kill(slot)
-            tasks = (slot.tasks if isinstance(slot, _ChunkSlot)
-                     else [slot.task])
-            for task in tasks:
+            for task in slot.tasks:
                 task.last_error = f"aborted: {self._abort_reason}"
                 records[task.experiment_id] = self._finalize(
                     task, STATUS_FAILED)
@@ -620,6 +595,7 @@ class ExecutionEngine:
         """Settle never-launched tasks as ``cancelled`` after a drain."""
         while pending:
             task = pending.popleft()
+            self._settle_claim_wait(task)
             task.last_error = ("interrupted: drain signal received "
                                "before this task launched")
             records[task.experiment_id] = self._finalize(
@@ -848,93 +824,23 @@ class ExecutionEngine:
                      error=task.last_error)
         pending.append(task)
 
-    # -- inline executor ----------------------------------------------
+    # -- dispatch -----------------------------------------------------
 
-    def _run_inline(self, registry, pending: deque[_Task],
-                    records: dict[str, RunRecord],
-                    results: dict[str, Any]) -> None:
+    def _dispatch(self, pending: deque[_Task],
+                  records: dict[str, RunRecord],
+                  results: dict[str, Any]) -> None:
+        """Launch batches and collect their outcomes until all settle.
+
+        The process executor keeps up to ``jobs`` forked workers in
+        flight.  The inline executor is the same loop with one slot and
+        single-task batches, each run in this process as it launches,
+        so it is collected at once and no timeout applies.
+        """
+        inline = self.config.executor == EXECUTOR_INLINE
+        ctx = None if inline else _mp_context()
+        capacity = 1 if inline else self.config.jobs
         max_attempts = 1 + self.config.retries
-        metrics = current_metrics()
-        while pending:
-            task = pending.popleft()
-            if self._aborted:
-                task.last_error = f"aborted: {self._abort_reason}"
-                records[task.experiment_id] = self._finalize(
-                    task, STATUS_CANCELLED)
-                continue
-            if self._interrupted:
-                task.last_error = ("interrupted: drain signal received "
-                                   "before this task launched")
-                records[task.experiment_id] = self._finalize(
-                    task, STATUS_CANCELLED)
-                continue
-            claim_state = self._acquire_claim(task, records, results)
-            while claim_state == "wait":
-                time.sleep(self.config.claim_poll_s)
-                if self._interrupted or self._aborted:
-                    break
-                claim_state = self._acquire_claim(task, records,
-                                                  results)
-            if claim_state == "hit":
-                self._beat()
-                continue
-            if claim_state == "wait":  # interrupted mid-wait
-                self._settle_claim_wait(task)
-                task.last_error = ("interrupted: drain signal received "
-                                   "while waiting on a foreign claim")
-                records[task.experiment_id] = self._finalize(
-                    task, STATUS_CANCELLED)
-                continue
-            task.started_at = wall_now()
-            task_sample = (sample_resources() if metrics is not None
-                           else None)
-            while True:
-                task.attempts += 1
-                run_start = time.monotonic()
-                try:
-                    with span("engine.run",
-                              experiment=task.experiment_id,
-                              attempt=task.attempts):
-                        apply_runner_fault(self._runner_fault(task),
-                                           allow_exit=False)
-                        result = registry[task.experiment_id].runner()
-                except Exception as exc:
-                    task.add_phase("run",
-                                   time.monotonic() - run_start)
-                    task.last_error = repr(exc)
-                    if task.attempts < max_attempts:
-                        delay = self.config.backoff.delay_s(
-                            task.experiment_id, task.attempts)
-                        if delay > 0:
-                            time.sleep(delay)
-                            task.add_phase("retry", delay)
-                        add_counter("engine.retries")
-                        if self._retry_cache_hit(task, records,
-                                                 results):
-                            break
-                        continue
-                    records[task.experiment_id] = self._finalize(
-                        task, STATUS_FAILED)
-                    break
-                task.add_phase("run", time.monotonic() - run_start)
-                self._store(task, result)
-                results[task.experiment_id] = result
-                records[task.experiment_id] = self._finalize(
-                    task, STATUS_OK)
-                break
-            self._beat()
-            if metrics is not None:
-                record_resource_delta(metrics, task_sample,
-                                      scope="task")
-
-    # -- process-pool executor ----------------------------------------
-
-    def _run_processes(self, pending: deque[_Task],
-                       records: dict[str, RunRecord],
-                       results: dict[str, Any]) -> None:
-        ctx = _mp_context()
-        max_attempts = 1 + self.config.retries
-        running: list[_Slot | _ChunkSlot] = []
+        running: list[_Slot] = []
 
         while pending or running:
             if self._aborted:
@@ -945,47 +851,24 @@ class ExecutionEngine:
                 self._cancel_pending(pending, records)
                 break
             now = time.monotonic()
-            chunk_target = self._chunk_target(len(pending))
+            target = 1 if inline else self._chunk_target(len(pending))
             deferred: list[_Task] = []
             while (pending and not self._interrupted
-                   and len(running) < self.config.jobs):
+                   and len(running) < capacity):
                 task = pending.popleft()
-                if task.not_before > now:
-                    deferred.append(task)  # backoff window still open
+                if not self._clear_to_launch(task, now, deferred,
+                                             records, results):
                     continue
-                if task.attempts > 0 and self._retry_cache_hit(
-                        task, records, results):
-                    continue
-                claim_state = self._acquire_claim(task, records,
-                                                  results)
-                if claim_state == "hit":
-                    continue
-                if claim_state == "wait":
-                    task.not_before = (time.monotonic()
-                                       + self.config.claim_poll_s)
-                    deferred.append(task)
-                    continue
-                if task.attempts == 0 and chunk_target > 1:
-                    batch = [task]
-                    while (len(batch) < chunk_target and pending
-                           and pending[0].attempts == 0
-                           and pending[0].not_before <= now):
-                        candidate = pending.popleft()
-                        state = self._acquire_claim(candidate, records,
-                                                    results)
-                        if state == "hit":
-                            continue
-                        if state == "wait":
-                            candidate.not_before = (
-                                time.monotonic()
-                                + self.config.claim_poll_s)
-                            deferred.append(candidate)
-                            continue
+                batch = [task]
+                # Only fresh tasks share a batch; retries run singly.
+                while (task.attempts == 0 and len(batch) < target
+                       and pending and pending[0].attempts == 0
+                       and pending[0].not_before <= now):
+                    candidate = pending.popleft()
+                    if self._clear_to_launch(candidate, now, deferred,
+                                             records, results):
                         batch.append(candidate)
-                    if len(batch) > 1:
-                        running.append(self._launch_chunk(ctx, batch))
-                        continue
-                running.append(self._launch(ctx, task))
+                running.append(self._launch(ctx, batch))
             pending.extendleft(reversed(deferred))
 
             if not running:
@@ -999,116 +882,136 @@ class ExecutionEngine:
                 time.sleep(min(0.5, max(0.0,
                                         wake - time.monotonic())))
                 continue
+            running = self._poll(running, pending, records, results,
+                                 max_attempts)
 
-            timeout = self._poll_timeout(running, pending
+    def _clear_to_launch(self, task: _Task, now: float,
+                         deferred: list[_Task],
+                         records: dict[str, RunRecord],
+                         results: dict[str, Any]) -> bool:
+        """Whether ``task`` launches now.
+
+        False when it was deferred (backoff window still open, or a
+        live foreign claim to poll again) or served from the store.
+        """
+        if task.not_before > now:
+            deferred.append(task)
+            return False
+        if task.attempts > 0 and self._retry_cache_hit(
+                task, records, results):
+            return False
+        claim_state = self._acquire_claim(task, records, results)
+        if claim_state == "wait":
+            task.not_before = time.monotonic() + self.config.claim_poll_s
+            deferred.append(task)
+        return claim_state == "run"
+
+    def _chunk_target(self, n_pending: int) -> int:
+        """Fresh tasks to group per worker launch for this refill.
+
+        Batching amortises process start-up over large sweeps; it never
+        engages (target 1) while each worker would get at most ~4
+        tasks, or under a fault plan (faults are injected per attempt
+        and need per-task isolation).
+        """
+        if self.config.fault_plan is not None:
+            return 1
+        return min(8, max(1, n_pending // (self.config.jobs * 4)))
+
+    def _launch(self, ctx, batch: list[_Task]) -> _Slot:
+        """Start ``batch`` in a forked worker, or run it inline."""
+        launched = time.monotonic()
+        for task in batch:
+            if task.attempts == 0:
+                task.started_at = wall_now()
+            if task.ready_at:
+                # Split the wait since the task became runnable into
+                # the deliberate backoff window (retry) and slot
+                # contention (queue).
+                waited = max(0.0, launched - task.ready_at)
+                backoff_s = (min(waited, max(0.0, task.not_before
+                                             - task.ready_at))
+                             if task.attempts > 0 else 0.0)
+                task.add_phase("retry", backoff_s)
+                task.add_phase("queue", waited - backoff_s)
+            task.attempts += 1
+        fault = self._runner_fault(batch[0])  # fault batches are single
+        ids = [task.experiment_id for task in batch]
+        if ctx is None:
+            slot = _Slot(tasks=batch, launched=launched)
+            metrics = current_metrics()
+            sample = sample_resources() if metrics is not None else None
+            _run_batch(ids, slot.receive, fault, forked=False)
+            if metrics is not None:
+                record_resource_delta(metrics, sample, scope="task")
+            return slot
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_run_batch,
+            args=(ids, child_conn.send, fault),
+            kwargs={"traced": tracing_enabled(),
+                    "context": context_fields() or None},
+            name=f"repro-engine-{ids[0]}",
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        if len(batch) > 1:
+            add_counter("engine.chunks")
+            observe("engine.chunk_size", len(batch), COUNT_BUCKETS)
+        # The per-experiment budget applies to each task in the batch.
+        deadline = (launched + self.config.timeout_s * len(batch)
+                    if self.config.timeout_s is not None else None)
+        return _Slot(tasks=batch, launched=launched, deadline=deadline,
+                     process=process, conn=parent_conn)
+
+    def _poll(self, running: list[_Slot], pending: deque[_Task],
+              records: dict[str, RunRecord], results: dict[str, Any],
+              max_attempts: int) -> list[_Slot]:
+        """Wait for worker output; collect finished and overdue slots.
+
+        Pipes are read as messages arrive, so a worker whose outcome
+        exceeds the OS pipe buffer never blocks in ``send``.  Returns
+        the slots still running.
+        """
+        forked = [slot for slot in running if slot.process is not None]
+        ready: set = set()
+        if forked:
+            timeout = self._poll_timeout(forked, pending
                                          if len(running)
                                          < self.config.jobs else ())
             # Capped so a cross-thread abort() takes effect promptly
             # even when no per-task deadline is armed.
             timeout = 0.5 if timeout is None else min(timeout, 0.5)
             ready = set(_connection_wait(
-                [slot.process.sentinel for slot in running],
+                [handle for slot in forked
+                 for handle in (slot.conn, slot.process.sentinel)],
                 timeout=timeout))
-            now = time.monotonic()
+        now = time.monotonic()
 
-            still_running: list[_Slot | _ChunkSlot] = []
-            for slot in running:
-                timed_out = (slot.process.sentinel not in ready
-                             and slot.process.is_alive()
-                             and slot.deadline is not None
+        still_running: list[_Slot] = []
+        for slot in running:
+            timed_out = False
+            if slot.process is not None:  # inline slots ran at launch
+                finished = ((slot.conn in ready and slot.drain())
+                            or slot.process.sentinel in ready)
+                timed_out = (not finished and slot.deadline is not None
                              and now >= slot.deadline)
-                done = (slot.process.sentinel in ready
-                        or not slot.process.is_alive())
-                if not (done or timed_out):
+                if not (finished or timed_out):
                     still_running.append(slot)
                     continue
                 if timed_out:
                     self._kill(slot)
-                if isinstance(slot, _ChunkSlot):
-                    self._collect_chunk(slot, pending, records, results,
-                                        max_attempts,
-                                        timed_out=timed_out)
                 else:
-                    self._collect(slot, pending, records, results,
-                                  max_attempts, timed_out=timed_out)
-            running = still_running
-
-    def _chunk_target(self, n_pending: int) -> int:
-        """Fresh tasks to group per worker launch for this refill.
-
-        Chunking amortises process start-up over large sweeps; it never
-        engages (target 1) while each worker would get at most ~4
-        tasks, under a fault plan (faults are injected per attempt and
-        need per-task isolation), or when the operator pinned
-        ``chunk_size``.
-        """
-        if self.config.fault_plan is not None:
-            return 1
-        if self.config.chunk_size is not None:
-            return self.config.chunk_size
-        return min(8, max(1, n_pending // (self.config.jobs * 4)))
-
-    def _launch(self, ctx, task: _Task) -> _Slot:
-        launched = time.monotonic()
-        if task.attempts == 0:
-            task.started_at = wall_now()
-        if task.ready_at:
-            # Split the wait since the task became runnable into the
-            # deliberate backoff window (retry) and slot contention
-            # (queue).
-            waited = max(0.0, launched - task.ready_at)
-            backoff_s = (min(waited,
-                             max(0.0, task.not_before - task.ready_at))
-                         if task.attempts > 0 else 0.0)
-            task.add_phase("retry", backoff_s)
-            task.add_phase("queue", waited - backoff_s)
-        task.attempts += 1
-        fault = self._runner_fault(task)
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_entry,
-            args=(task.experiment_id, child_conn, fault,
-                  tracing_enabled(), context_fields() or None),
-            name=f"repro-engine-{task.experiment_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        deadline = (launched + self.config.timeout_s
-                    if self.config.timeout_s is not None else None)
-        return _Slot(task=task, process=process, conn=parent_conn,
-                     deadline=deadline, launched=launched)
-
-    def _launch_chunk(self, ctx, batch: list[_Task]) -> _ChunkSlot:
-        launched = time.monotonic()
-        for task in batch:
-            task.started_at = wall_now()
-            if task.ready_at:
-                # Fresh tasks only (attempts == 0): the whole wait since
-                # becoming runnable is slot contention.
-                task.add_phase("queue", max(0.0, launched - task.ready_at))
-            task.attempts += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_chunk_entry,
-            args=([task.experiment_id for task in batch], child_conn,
-                  tracing_enabled(), context_fields() or None),
-            name=f"repro-engine-chunk-{batch[0].experiment_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        # The per-experiment budget applies to each task in the chunk.
-        deadline = (launched + self.config.timeout_s * len(batch)
-                    if self.config.timeout_s is not None else None)
-        add_counter("engine.chunks")
-        observe("engine.chunk_size", len(batch), COUNT_BUCKETS)
-        return _ChunkSlot(tasks=batch, process=process,
-                          conn=parent_conn, deadline=deadline,
-                          launched=launched)
+                    slot.drain()  # messages sent just before exit
+                slot.process.join(timeout=5.0)
+                slot.conn.close()
+            self._collect(slot, pending, records, results, max_attempts,
+                          timed_out=timed_out)
+        return still_running
 
     @staticmethod
-    def _poll_timeout(running: list["_Slot | _ChunkSlot"],
+    def _poll_timeout(running: list[_Slot],
                       waiting: Sequence[_Task] = ()) -> float | None:
         wakes = [slot.deadline for slot in running
                  if slot.deadline is not None]
@@ -1118,7 +1021,7 @@ class ExecutionEngine:
         return max(0.0, min(wakes) - time.monotonic()) + 0.01
 
     @staticmethod
-    def _kill(slot: "_Slot | _ChunkSlot") -> None:
+    def _kill(slot: _Slot) -> None:
         slot.process.terminate()
         slot.process.join(timeout=5.0)
         if slot.process.is_alive():
@@ -1129,144 +1032,67 @@ class ExecutionEngine:
                  records: dict[str, RunRecord],
                  results: dict[str, Any],
                  max_attempts: int, timed_out: bool) -> None:
-        task = slot.task
-        run_s = time.monotonic() - slot.launched
-        task.add_phase("run", run_s)
-        record_span("engine.run", slot.launched, run_s,
-                    experiment=task.experiment_id,
-                    attempt=task.attempts, worker_pid=slot.process.pid,
-                    timed_out=timed_out)
+        """Settle every task of a finished or overdue batch.
 
-        outcome: tuple | None = None
-        if not timed_out:
-            try:
-                if slot.conn.poll(0):
-                    outcome = slot.conn.recv()
-            except (EOFError, OSError):
-                outcome = None
-        slot.process.join(timeout=5.0)
-        slot.conn.close()
-
-        if outcome is not None and len(outcome) > 2 and outcome[2]:
-            trace = current_trace()
-            if trace is not None:
-                trace.merge_payload(outcome[2])
-
-        if timed_out:
-            add_counter("engine.timeouts")
-            task.last_error = (
-                f"timeout: exceeded {self.config.timeout_s:.1f} s")
-            _log.warning("task.timeout",
-                         experiment=task.experiment_id,
-                         attempt=task.attempts,
-                         timeout_s=self.config.timeout_s)
-        elif outcome is not None and outcome[0] == "ok":
-            self._store(task, outcome[1])
-            results[task.experiment_id] = outcome[1]
-            records[task.experiment_id] = self._finalize(
-                task, STATUS_OK)
-            self._beat()
-            return
-        elif outcome is not None:
-            task.last_error = outcome[1]
-        else:
-            task.last_error = (
-                f"worker died without a result "
-                f"(exit code {slot.process.exitcode})")
-            _log.warning("task.worker_died",
-                         experiment=task.experiment_id,
-                         attempt=task.attempts,
-                         exit_code=slot.process.exitcode)
-
-        if task.attempts < max_attempts:
-            self._schedule_retry(task, pending)
-            return
-        status = STATUS_TIMEOUT if timed_out else STATUS_FAILED
-        records[task.experiment_id] = self._finalize(task, status)
-
-    def _collect_chunk(self, slot: _ChunkSlot, pending: deque[_Task],
-                       records: dict[str, RunRecord],
-                       results: dict[str, Any],
-                       max_attempts: int, timed_out: bool) -> None:
-        """Drain a chunk worker's per-task outcomes and settle each task.
-
-        Tasks the worker finished are stored/recorded exactly as in the
-        single-task path; tasks it never reached (crash, exit, or the
-        chunk deadline) are retried individually, so one bad task in a
-        chunk cannot take its neighbours' results down with it.
+        A reported task is stored and recorded with the runner time the
+        worker measured.  A task the worker never reached (crash, exit,
+        or the batch deadline) is retried singly, so one bad task
+        cannot take its batch-mates' results down with it.
         """
-        elapsed = time.monotonic() - slot.launched
-        outcomes: dict[str, tuple[str, Any, float]] = {}
-        payload = None
-        try:
-            while slot.conn.poll(0):
-                message = slot.conn.recv()
-                if message[0] == "task":
-                    _, experiment_id, status, value, duration = message
-                    outcomes[experiment_id] = (status, value, duration)
-                elif message[0] == "done":
-                    payload = message[1]
-        except (EOFError, OSError):
-            pass
-        slot.process.join(timeout=5.0)
-        slot.conn.close()
-
-        if payload:
+        if slot.payload:
             trace = current_trace()
             if trace is not None:
-                trace.merge_payload(payload)
-
-        accounted = sum(duration for _, _, duration
-                        in outcomes.values())
-        unfinished = [task for task in slot.tasks
-                      if task.experiment_id not in outcomes]
-        # Telemetry only: split the unattributed tail of the chunk's
-        # wall time evenly over the tasks that never reported.
-        residual = (max(0.0, elapsed - accounted)
-                    / max(1, len(unfinished)))
+                trace.merge_payload(slot.payload)
+        unreported = [task for task in slot.tasks
+                      if task.experiment_id not in slot.outcomes]
+        # Telemetry only: split the batch's unmeasured wall time evenly
+        # over the tasks that never reported.
+        measured = sum(run_s for _, _, run_s in slot.outcomes.values())
+        residual = (max(0.0, time.monotonic() - slot.launched - measured)
+                    / max(1, len(unreported)))
+        worker_pid = (slot.process.pid if slot.process is not None
+                      else os.getpid())
 
         for task in slot.tasks:
-            outcome = outcomes.get(task.experiment_id)
-            if outcome is not None:
-                status, value, duration = outcome
-                task.add_phase("run", duration)
-                record_span("engine.run", slot.launched, duration,
-                            experiment=task.experiment_id,
-                            attempt=task.attempts,
-                            worker_pid=slot.process.pid, chunked=True,
-                            timed_out=False)
-                if status == STATUS_OK:
-                    self._store(task, value)
-                    results[task.experiment_id] = value
-                    records[task.experiment_id] = self._finalize(
-                        task, STATUS_OK)
-                    self._beat()
-                    continue
+            status, value, run_s = slot.outcomes.get(
+                task.experiment_id, (None, None, residual))
+            task.add_phase("run", run_s)
+            record_span("engine.run", slot.launched, run_s,
+                        experiment=task.experiment_id,
+                        attempt=task.attempts, worker_pid=worker_pid,
+                        timed_out=timed_out and status is None)
+            if status == STATUS_OK:
+                self._store(task, value)
+                results[task.experiment_id] = value
+                records[task.experiment_id] = self._finalize(
+                    task, STATUS_OK)
+                self._beat()
+                continue
+            if status == STATUS_FAILED:
                 task.last_error = value
+            elif timed_out:
+                add_counter("engine.timeouts")
+                task.last_error = (
+                    f"timeout: exceeded "
+                    f"{self.config.timeout_s * len(slot.tasks):.1f} s")
+                _log.warning("task.timeout",
+                             experiment=task.experiment_id,
+                             attempt=task.attempts,
+                             timeout_s=self.config.timeout_s)
             else:
-                task.add_phase("run", residual)
-                record_span("engine.run", slot.launched, residual,
-                            experiment=task.experiment_id,
-                            attempt=task.attempts,
-                            worker_pid=slot.process.pid, chunked=True,
-                            timed_out=timed_out)
-                if timed_out:
-                    add_counter("engine.timeouts")
-                    task.last_error = (
-                        f"timeout: chunk of {len(slot.tasks)} exceeded "
-                        f"{elapsed:.1f} s")
-                else:
-                    task.last_error = (
-                        f"worker exited before a result "
-                        f"(exit code {slot.process.exitcode})")
+                task.last_error = (
+                    f"worker exited before a result "
+                    f"(exit code {slot.process.exitcode})")
+                _log.warning("task.worker_died",
+                             experiment=task.experiment_id,
+                             attempt=task.attempts,
+                             exit_code=slot.process.exitcode)
             if task.attempts < max_attempts:
                 self._schedule_retry(task, pending)
             else:
-                status_final = (STATUS_TIMEOUT
-                                if timed_out and outcome is None
-                                else STATUS_FAILED)
                 records[task.experiment_id] = self._finalize(
-                    task, status_final)
+                    task, STATUS_TIMEOUT if timed_out and status is None
+                    else STATUS_FAILED)
 
     def _finalize(self, task: _Task, status: str) -> RunRecord:
         self._release_claim(task)

@@ -54,7 +54,6 @@ from repro.reliability.guard import (
     PRECONDITIONER_CHOICES,
     PRECONDITIONER_ENV,
     PRECONDITIONER_JACOBI,
-    PRECONDITIONER_NONE,
     GuardedRoot,
     GuardedSolution,
     SolveDiagnostics,
@@ -101,7 +100,6 @@ __all__ = [
     "PRECONDITIONER_CHOICES",
     "PRECONDITIONER_ENV",
     "PRECONDITIONER_JACOBI",
-    "PRECONDITIONER_NONE",
     "PreconditionerCache",
     "SolveDiagnostics",
     "apply_runner_fault",

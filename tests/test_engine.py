@@ -24,6 +24,7 @@ from repro.engine.scheduler import WAIT_PHASES
 from repro.errors import ReproError
 from repro.obs import Trace, current_trace, tracing
 from repro.reliability import (
+    NO_BACKOFF,
     BackoffPolicy,
     FaultPlan,
     FaultSpec,
@@ -43,6 +44,19 @@ def _config(tmp_path, **overrides):
                     timeout_s=30.0)
     defaults.update(overrides)
     return EngineConfig(**defaults)
+
+
+def _inject_noops(monkeypatch, count, prefix="E-NOOP"):
+    """Register ``count`` trivial experiments; returns their ids.
+
+    Padding a sweep's backlog is how tests reach batched dispatch: at
+    ``jobs=1``, 16 pending tasks give batches of 4 and 8 give 2.
+    """
+    ids = [f"{prefix}{index}" for index in range(count)]
+    for index, experiment_id in enumerate(ids):
+        _inject(monkeypatch, experiment_id,
+                lambda index=index: {"value": index})
+    return ids
 
 
 # -- records ----------------------------------------------------------
@@ -379,30 +393,20 @@ def test_chunk_target_policy(tmp_path):
     # Large backlogs amortise process start-up, capped at 8.
     assert engine._chunk_target(40) == 5
     assert engine._chunk_target(1000) == 8
-    pinned = ExecutionEngine(_config(tmp_path, jobs=2, chunk_size=3))
-    assert pinned._chunk_target(1000) == 3
     # Fault plans need per-task process isolation.
     plan = FaultPlan("t", (FaultSpec("transient", "E-T1"),))
-    faulty = ExecutionEngine(_config(tmp_path, jobs=2, chunk_size=3,
-                                     fault_plan=plan))
+    faulty = ExecutionEngine(_config(tmp_path, jobs=2, fault_plan=plan))
     assert faulty._chunk_target(1000) == 1
 
 
 def test_chunked_sweep_returns_every_result(tmp_path, monkeypatch):
-    ids = []
-    for index in range(10):
-        experiment_id = f"E-CHUNK{index}"
-
-        def runner(index=index):
-            return {"value": index}
-
-        _inject(monkeypatch, experiment_id, runner)
-        ids.append(experiment_id)
-    sweep = run_experiments(ids,
-                            config=_config(tmp_path, chunk_size=4))
+    ids = _inject_noops(monkeypatch, 16, prefix="E-CHUNK")
+    with tracing(Trace("chunked")) as trace:
+        sweep = run_experiments(ids, config=_config(tmp_path, jobs=1))
+    assert trace.counters.get("engine.chunks") > 0
     assert sweep.all_ok
     assert sweep.results == {f"E-CHUNK{i}": {"value": i}
-                             for i in range(10)}
+                             for i in range(16)}
     assert all(record.attempts == 1 for record in sweep.records)
 
 
@@ -411,10 +415,12 @@ def test_chunk_isolates_failing_member(tmp_path, monkeypatch):
         raise ValueError("chunk member fails")
 
     _inject(monkeypatch, "E-BAD", bad_runner)
-    ids = ["E-T1", "E-BAD", "E-T2", "E-F1"]
-    sweep = run_experiments(ids,
-                            config=_config(tmp_path, jobs=1,
-                                           chunk_size=4))
+    # 16 pending at jobs=1: the first batch is exactly these four
+    ids = ["E-T1", "E-BAD", "E-T2", "E-F1"] + _inject_noops(monkeypatch,
+                                                            12)
+    with tracing(Trace("chunked")) as trace:
+        sweep = run_experiments(ids, config=_config(tmp_path, jobs=1))
+    assert trace.counters.get("engine.chunks") > 0
     by_id = {record.experiment_id: record for record in sweep.records}
     assert by_id["E-BAD"].status == "failed"
     assert "chunk member fails" in by_id["E-BAD"].error
@@ -440,14 +446,71 @@ def test_chunk_crash_retries_unfinished_singly(tmp_path, monkeypatch):
 
     _inject(monkeypatch, "E-DIE", dying_once_runner)
     _inject(monkeypatch, "E-AFTER", ok_runner)
-    sweep = run_experiments(
-        ["E-DIE", "E-AFTER"],
-        config=_config(tmp_path, jobs=1, chunk_size=2, retries=1))
+    # 8 pending at jobs=1: the first batch is E-DIE and E-AFTER
+    ids = ["E-DIE", "E-AFTER"] + _inject_noops(monkeypatch, 6)
+    with tracing(Trace("chunked")) as trace:
+        sweep = run_experiments(
+            ids, config=_config(tmp_path, jobs=1, retries=1))
+    assert trace.counters.get("engine.chunks") > 0
     by_id = {record.experiment_id: record for record in sweep.records}
     assert by_id["E-DIE"].status == "ok"
     assert by_id["E-DIE"].attempts == 2
     assert by_id["E-AFTER"].status == "ok"
+    assert by_id["E-AFTER"].attempts == 2  # its chunk-mate's crash
     assert sweep.results["E-DIE"] == {"value": "recovered"}
+
+
+@pytest.mark.parametrize("padding", [0, 15], ids=["single", "chunked"])
+def test_large_result_drains_through_the_pipe(tmp_path, monkeypatch,
+                                              padding):
+    """An outcome beyond the OS pipe buffer must not block the worker
+    in send until its deadline: the parent reads while it runs."""
+    big = "x" * (1 << 20)
+    _inject(monkeypatch, "E-BIG", lambda: big)
+    ids = ["E-BIG"] + _inject_noops(monkeypatch, padding)
+    with tracing(Trace("big")) as trace:
+        sweep = run_experiments(
+            ids, config=_config(tmp_path, jobs=1, timeout_s=3.0))
+    assert bool(trace.counters.get("engine.chunks")) == (padding > 0)
+    assert sweep.records[0].status == "ok"
+    assert sweep.results["E-BIG"] == big
+    assert sweep.all_ok
+
+
+def test_timeout_kills_worker_despite_parent_signal_state(
+        tmp_path, monkeypatch):
+    """A forked worker must drop the SIGTERM handler and wakeup fd it
+    inherits (armed here the way ``loop.add_signal_handler`` arms them
+    under ``repro serve``): otherwise ``terminate()`` is swallowed until
+    the SIGKILL fallback, and the signal reaches the parent's loop."""
+    import signal
+    import socket
+
+    def hanging_runner():
+        time.sleep(60)
+
+    _inject(monkeypatch, "E-HANG", hanging_runner)
+    reader, writer = socket.socketpair()
+    reader.setblocking(False)
+    writer.setblocking(False)
+    previous_fd = signal.set_wakeup_fd(writer.fileno())
+    previous_handler = signal.signal(signal.SIGTERM,
+                                     lambda signum, frame: None)
+    try:
+        start = time.monotonic()
+        sweep = run_experiments(
+            ["E-HANG"], config=_config(tmp_path, timeout_s=0.5,
+                                       handle_signals=False))
+        elapsed = time.monotonic() - start
+        with pytest.raises(BlockingIOError):
+            reader.recv(1)  # no signal byte reached the socket
+    finally:
+        signal.set_wakeup_fd(previous_fd)
+        signal.signal(signal.SIGTERM, previous_handler)
+        reader.close()
+        writer.close()
+    assert sweep.records[0].status == "timeout"
+    assert elapsed < 3.0
 
 
 # -- scheduler: API surface -------------------------------------------
@@ -463,14 +526,58 @@ def test_duplicate_ids_deduplicated(tmp_path):
     assert [record.experiment_id for record in sweep.records] == ["E-T1"]
 
 
-def test_inline_executor_matches_process_results(tmp_path):
-    inline = run_experiments(
-        ["E-T2"], config=_config(tmp_path, executor="inline",
-                                 cache_enabled=False))
-    process = run_experiments(
-        ["E-T2"], config=_config(tmp_path, cache_enabled=False))
-    assert inline.results["E-T2"]["summary"] \
-        == process.results["E-T2"]["summary"]
+@pytest.mark.parametrize("executor, jobs, chunked", [
+    ("inline", 1, False),
+    ("process", 4, False),  # 15 pending // (4 * 4) -> single tasks
+    ("process", 1, True),   # 15 pending // 4 -> batches of 3
+], ids=["inline", "process", "process-chunked"])
+def test_inline_executor_matches_process_results(tmp_path, monkeypatch,
+                                                 executor, jobs, chunked):
+    """Every executor settles the same cases identically: a raising
+    member, one that fails once under ``retries=1``, a pre-stored cache
+    hit, and plain successes."""
+    marker = tmp_path / "flaky.log"
+
+    def raising_runner():
+        raise ValueError("always fails")
+
+    def flaky_runner():
+        if not marker.exists():
+            marker.write_text("x")
+            raise RuntimeError("first attempt fails")
+        return {"value": "recovered"}
+
+    def stored_runner():  # pragma: no cover - served from the cache
+        raise AssertionError("cache hit recomputed")
+
+    _inject(monkeypatch, "E-EQ-RAISE", raising_runner)
+    _inject(monkeypatch, "E-EQ-FLAKY", flaky_runner)
+    _inject(monkeypatch, "E-EQ-STORED", stored_runner)
+    noops = _inject_noops(monkeypatch, 13)
+    config = _config(tmp_path, executor=executor, jobs=jobs, retries=1,
+                     backoff=NO_BACKOFF)
+    ResultCache(config.cache_dir).put(
+        "E-EQ-STORED", runner_fingerprint("E-EQ-STORED", stored_runner),
+        {"value": "stored"})
+    with tracing(Trace("equivalence")) as trace:
+        sweep = run_experiments(
+            ["E-EQ-RAISE", "E-EQ-FLAKY", "E-EQ-STORED", *noops],
+            config=config)
+    assert bool(trace.counters.get("engine.chunks")) is chunked
+    outcomes = {record.experiment_id: (record.status, record.attempts,
+                                       record.error, record.cache_hit)
+                for record in sweep.records}
+    assert outcomes == {
+        "E-EQ-RAISE": ("failed", 2, "ValueError('always fails')", False),
+        "E-EQ-FLAKY": ("ok", 2, None, False),
+        "E-EQ-STORED": ("ok", 0, None, True),
+        **{noop: ("ok", 1, None, False) for noop in noops},
+    }
+    assert sweep.results == {
+        "E-EQ-FLAKY": {"value": "recovered"},
+        "E-EQ-STORED": {"value": "stored"},
+        **{noop: {"value": index} for index, noop in enumerate(noops)},
+    }
 
 
 def test_engine_writes_journal(tmp_path, monkeypatch):

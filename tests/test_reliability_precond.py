@@ -9,7 +9,7 @@ import pytest
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import LinearOperator, cg
 
-from repro.errors import CalibrationError
+from repro.errors import CalibrationError, ReproError
 from repro.reliability.guard import (
     AMG_MIN_UNKNOWNS,
     DENSE_FALLBACK_MAX_BYTES,
@@ -242,6 +242,18 @@ def test_unknown_preconditioner_rejected():
     with pytest.raises(ValueError):
         guarded_linear_solve(matrix, rhs, name="precond-bad",
                              spd=True, preconditioner="cholesky")
+
+
+@pytest.mark.parametrize("value", ["none", "amgg"])
+def test_unknown_preconditioner_env_rejected(monkeypatch, value):
+    """A typo, or the removed ``none`` rung, is an error naming the
+    allowed values instead of a silent fall back to ``auto``."""
+    matrix = _mesh(8, 4)
+    rhs = np.ones(matrix.shape[0])
+    monkeypatch.setenv("REPRO_PRECONDITIONER", value)
+    with pytest.raises(ReproError, match="auto, jacobi, amg"):
+        guarded_linear_solve(matrix, rhs, name="precond-env-bad",
+                             spd=True)
 
 
 def test_dense_fallback_is_memory_capped():
