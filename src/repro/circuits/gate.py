@@ -88,16 +88,35 @@ class GateDesign:
 
 
 class GateModel:
-    """Delay / power model of a :class:`GateDesign` in one technology."""
+    """Delay / power model of a :class:`GateDesign` in one technology.
+
+    ``device`` and ``design`` are read-only: the input capacitance is
+    computed once and drive currents are memoized per supply and
+    threshold, so a model never changes after construction.
+    """
 
     def __init__(self, device: DeviceParams, design: GateDesign | None = None,
                  wn_over_l: float = DEFAULT_WN_OVER_L):
-        self.device = device
-        self.design = design if design is not None else GateDesign()
+        self._device = device
+        self._design = design if design is not None else GateDesign()
         if wn_over_l <= 0:
             raise ModelParameterError("Wn/L must be positive")
         self._wn_over_l = wn_over_l
         self._model = MosfetModel(device)
+        gate_area = (self.wn_m + self.wp_m) * self.leff_m
+        self._input_cap_f = CAP_FACTOR * device.gate_stack.coxe * gate_area
+        # (vdd_v, vth_v) -> drive current [A]
+        self._drive_memo: dict[tuple[float | None, float | None], float] = {}
+
+    @property
+    def device(self) -> DeviceParams:
+        """Device card the gate is built from."""
+        return self._device
+
+    @property
+    def design(self) -> GateDesign:
+        """Sizing and topology of the gate."""
+        return self._design
 
     # --- geometry ----------------------------------------------------------
 
@@ -133,8 +152,7 @@ class GateModel:
     @property
     def input_cap_f(self) -> float:
         """Capacitance presented at one input pin [F]."""
-        gate_area = (self.wn_m + self.wp_m) * self.leff_m
-        return CAP_FACTOR * self.device.gate_stack.coxe * gate_area
+        return self._input_cap_f
 
     @property
     def parasitic_cap_f(self) -> float:
@@ -153,8 +171,17 @@ class GateModel:
 
         The weaker of pull-down and pull-up; series stacks divide the
         per-width current by the stack height (already compensated by the
-        width up-sizing in :attr:`wn_m`/:attr:`wp_m`).
+        width up-sizing in :attr:`wn_m`/:attr:`wp_m`).  Memoized per
+        ``(vdd_v, vth_v)``.
         """
+        key = (vdd_v, vth_v)
+        drive = self._drive_memo.get(key)
+        if drive is None:
+            drive = self._drive_memo[key] = self._drive_current_a(vdd_v, vth_v)
+        return drive
+
+    def _drive_current_a(self, vdd_v: float | None,
+                         vth_v: float | None) -> float:
         ion_per_um = self._model.ion_ua_um(vdd_v, vth_v) * 1e-6  # A/um
         wn_um = units.to_um(self.wn_m)
         wp_um = units.to_um(self.wp_m)

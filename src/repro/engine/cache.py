@@ -134,11 +134,18 @@ def _find_source(module_name: str) -> Path | None:
     return path if path.suffix == ".py" and path.exists() else None
 
 
-# (path, mtime_ns, size) -> (digest, frozenset of imported repro names)
-_FILE_STATE_CACHE: dict[tuple[str, int, int], tuple[str, frozenset]] = {}
+# (path, mtime_ns, size) -> (digest, resolved repro imports as
+# (source path, package) pairs)
+_FILE_STATE_CACHE: dict[tuple[str, int, int], tuple[str, tuple]] = {}
 
 
-def _file_state(path: Path, package: str | None) -> tuple[str, frozenset]:
+def _file_state(path: Path, package: str | None) -> tuple[str, tuple]:
+    """Digest and resolved ``repro.*`` imports of one file version.
+
+    Cached per (path, mtime, size): the ``stat`` runs on every call, so
+    an edited file is re-read, but an unchanged one skips the source
+    hash and the ``find_spec`` resolution of its imports.
+    """
     stat = path.stat()
     key = (str(path), stat.st_mtime_ns, stat.st_size)
     cached = _FILE_STATE_CACHE.get(key)
@@ -147,10 +154,16 @@ def _file_state(path: Path, package: str | None) -> tuple[str, frozenset]:
     source = path.read_text(encoding="utf-8")
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
     try:
-        imports = frozenset(_imported_names(source, package))
+        imports = _imported_names(source, package)
     except SyntaxError:
-        imports = frozenset()
-    state = (digest, imports)
+        imports = set()
+    targets = []
+    for name in sorted(imports):
+        target = _find_source(name)
+        if target is not None:
+            target = target.resolve()
+            targets.append((target, _package_of(name, target)))
+    state = (digest, tuple(targets))
     _FILE_STATE_CACHE[key] = state
     return state
 
@@ -206,15 +219,14 @@ def _runner_fingerprint(experiment_id: str,
         if path in seen_paths:
             continue
         seen_paths.add(path)
-        digest, imports = _file_state(path, package)
+        try:
+            digest, targets = _file_state(path, package)
+        except FileNotFoundError:
+            continue  # a cached import target deleted since: unresolvable
         entries.append(f"{path.name}:{digest}")
-        for name in sorted(imports):
-            target = _find_source(name)
-            if target is None:
-                continue
-            target = target.resolve()
-            if target not in seen_paths:
-                queue.append((target, _package_of(name, target)))
+        for target in targets:
+            if target[0] not in seen_paths:
+                queue.append(target)
     for entry in sorted(entries):
         hasher.update(entry.encode("utf-8"))
         hasher.update(b"\n")

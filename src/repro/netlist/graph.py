@@ -9,7 +9,8 @@ low-to-high Vdd boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from repro import units
 from repro.circuits.gate import GateDesign, GateModel
@@ -63,6 +64,9 @@ class Instance:
     size_factor: float = 1.0
     #: True when this instance drives a higher-Vdd sink via a converter.
     level_converter: bool = False
+    #: ``(cell, vth_v, size_factor, model)`` of the last :meth:`model`.
+    _model_memo: tuple | None = field(default=None, init=False,
+                                      compare=False, repr=False)
 
     def effective_design(self) -> GateDesign:
         """Cell design with the re-sizing factor applied."""
@@ -71,11 +75,21 @@ class Instance:
         return self.cell.design.scaled(self.size_factor)
 
     def model(self) -> GateModel:
-        """Gate model reflecting current Vth/size assignment."""
+        """Gate model reflecting current Vth/size assignment.
+
+        Built once per state: the same model is returned while the cell
+        (the same object), ``vth_v`` and ``size_factor`` are unchanged.
+        """
+        memo = self._model_memo
+        if (memo is not None and memo[0] is self.cell
+                and memo[1] == self.vth_v and memo[2] == self.size_factor):
+            return memo[3]
         device = self.cell.device
         if self.vth_v is not None:
             device = device.with_vth(self.vth_v)
-        return GateModel(device, self.effective_design())
+        model = GateModel(device, self.effective_design())
+        self._model_memo = (self.cell, self.vth_v, self.size_factor, model)
+        return model
 
     def effective_vdd(self, nominal_vdd_v: float) -> float:
         """Supply this instance runs at [V]."""
@@ -109,6 +123,7 @@ class Netlist:
         self.primary_outputs: list[str] = []
         self._output_set: set[str] = set()
         self._fanouts: dict[str, list[str]] = {}
+        self._unit_cap_f: float | None = None
 
     # --- construction ------------------------------------------------------
 
@@ -178,11 +193,19 @@ class Netlist:
         per-net wire capacitance, plus the level-converter input when one
         is present.
         """
+        return self._load_f(name, self._sink_caps(name))
+
+    def _sink_caps(self, name: str) -> list[float]:
+        return [self.instances[sink].model().input_cap_f
+                for sink in self._fanouts[name]]
+
+    def _load_f(self, name: str, sink_caps: Iterable[float]) -> float:
+        # Wire, then sinks in fanout order, then flop, then converter:
+        # every caller accumulates in this order, bit for bit.
         load = self.wire_cap_per_net_f
-        for sink_name in self._fanouts[name]:
-            sink = self.instances[sink_name]
-            load += sink.model().input_cap_f
-        if name in self.instances and name in self._output_set:
+        for cap in sink_caps:
+            load += cap
+        if name in self._output_set:
             load += FLOP_LOAD_FACTOR * self._unit_input_cap()
         instance = self.instances.get(name)
         if instance is not None and instance.level_converter:
@@ -196,50 +219,45 @@ class Netlist:
         return lc_cap_factor(ratio) * self._unit_input_cap()
 
     def _unit_input_cap(self) -> float:
-        any_instance = next(iter(self.instances.values()))
-        unit = GateModel(any_instance.cell.device)
-        return unit.input_cap_f
+        if self._unit_cap_f is None:
+            any_instance = next(iter(self.instances.values()))
+            self._unit_cap_f = GateModel(any_instance.cell.device).input_cap_f
+        return self._unit_cap_f
 
-    def gate_delay_s(self, name: str) -> float:
-        """Delay of one instance into its current load [s]."""
+    def delay_for_sink_caps(self, name: str,
+                            sink_caps: Iterable[float]) -> float:
+        """Delay of instance ``name`` when its sinks present ``sink_caps`` [s].
+
+        The one load-and-delay formula: :meth:`gate_delay_s`,
+        :meth:`gate_delays` and the incremental timer all call it, so
+        their delays are bit-identical.  ``sink_caps`` lists the input
+        capacitance of each fanout sink, in fanout order.  The
+        converter's delay factor is applied last.
+        """
         instance = self.instances[name]
         vdd = instance.effective_vdd(self.nominal_vdd_v)
-        delay = instance.model().delay_s(self.load_f(name), vdd_v=vdd)
+        delay = instance.model().delay_s(self._load_f(name, sink_caps),
+                                         vdd_v=vdd)
         if instance.level_converter:
             delay *= lc_delay_factor(vdd / self.nominal_vdd_v)
         return delay
 
+    def gate_delay_s(self, name: str) -> float:
+        """Delay of one instance into its current load [s]."""
+        return self.delay_for_sink_caps(name, self._sink_caps(name))
+
     def gate_delays(self) -> dict[str, float]:
         """Delay of every instance into its current load, in bulk [s].
 
-        Identical arithmetic to calling :meth:`gate_delay_s` per name --
-        sink pin capacitances accumulate onto the wire capacitance in
-        fanout order -- but each instance's gate model and input
-        capacitance are evaluated once instead of once per fanout edge,
-        which is what makes full-netlist timing passes scale.
+        Identical arithmetic to calling :meth:`gate_delay_s` per name,
+        but each sink's input capacitance is looked up once instead of
+        once per fanout edge.
         """
-        if not self.instances:
-            return {}
-        models = {name: instance.model()
-                  for name, instance in self.instances.items()}
-        input_caps = {name: model.input_cap_f
-                      for name, model in models.items()}
-        unit_cap = self._unit_input_cap()
-        delays: dict[str, float] = {}
-        for name, instance in self.instances.items():
-            load = self.wire_cap_per_net_f
-            for sink_name in self._fanouts[name]:
-                load += input_caps[sink_name]
-            if name in self._output_set:
-                load += FLOP_LOAD_FACTOR * unit_cap
-            if instance.level_converter:
-                load += self.lc_cap_f(instance)
-            vdd = instance.effective_vdd(self.nominal_vdd_v)
-            delay = models[name].delay_s(load, vdd_v=vdd)
-            if instance.level_converter:
-                delay *= lc_delay_factor(vdd / self.nominal_vdd_v)
-            delays[name] = delay
-        return delays
+        input_caps = {name: instance.model().input_cap_f
+                      for name, instance in self.instances.items()}
+        return {name: self.delay_for_sink_caps(
+                    name, [input_caps[sink] for sink in self._fanouts[name]])
+                for name in self.instances}
 
     def needs_level_converter(self, name: str) -> bool:
         """True when ``name`` drives any sink at a higher supply."""

@@ -5,16 +5,17 @@ arrive at t = 0; every primary output must settle within the clock
 period.  Slack is reported at each instance output.
 
 The propagation runs on topo-order index arrays: names are resolved to
-dense integer positions once, gate delays come from the bulk
-:meth:`~repro.netlist.graph.Netlist.gate_delays` evaluation (one model
-construction per instance instead of one per fanout edge), and both
-passes walk plain integer adjacency lists.  On multi-thousand-gate
-netlists this removes the dict-probe overhead that used to dominate the
-optimization flows' inner loop.
+dense integer positions once (:func:`build_timing_index`), gate delays
+come from the bulk :meth:`~repro.netlist.graph.Netlist.gate_delays`
+evaluation, and both passes walk plain integer adjacency lists.  The
+index build and the arrival loop (:func:`propagate_arrivals`) are shared
+with :class:`~repro.optim.incremental.IncrementalTimer`, so full and
+incremental timing run one kernel.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import NetlistError
@@ -83,46 +84,98 @@ def compute_sta(netlist: Netlist,
         return _compute_sta(netlist, period)
 
 
-def _compute_sta(netlist: Netlist, period: float) -> TimingReport:
+@dataclass(frozen=True)
+class TimingIndex:
+    """A netlist's instances as dense topo positions with integer adjacency."""
+
+    #: Instance names in topological order; a name's position is its index.
+    order: tuple[str, ...]
+    #: Name -> topo position.
+    position: dict[str, int]
+    primary_inputs: frozenset[str]
+    #: Per position: topo positions of its instance fanins (PIs dropped).
+    fanins: list[list[int]]
+    #: Per position: topo positions of its sinks, in fanout order.
+    fanouts: list[list[int]]
+    #: Per position: True for a primary-output endpoint.
+    is_endpoint: list[bool]
+
+
+def resolve_fanins(name: str, fanins: Iterable[str],
+                   position: dict[str, int],
+                   primary_inputs: frozenset[str]) -> list[int]:
+    """Topo positions of ``name``'s instance fanins.
+
+    Primary inputs arrive at t = 0 and the strict ``>`` of
+    :func:`propagate_arrivals` means they can never become the worst
+    fanin, so they drop out.  A fanin that is neither is an undriven or
+    misnamed net; treating it as arriving at t = 0 would optimistically
+    pass timing, so it raises :class:`~repro.errors.NetlistError`.
+    """
+    positions = []
+    for fanin in fanins:
+        fanin_position = position.get(fanin)
+        if fanin_position is not None:
+            positions.append(fanin_position)
+        elif fanin not in primary_inputs:
+            raise NetlistError(
+                f"instance {name!r}: fanin {fanin!r} is neither a "
+                f"primary input nor a timed instance (undriven or "
+                f"misnamed net)")
+    return positions
+
+
+def build_timing_index(netlist: Netlist) -> TimingIndex:
+    """Resolve ``netlist`` to topo positions and integer adjacency lists."""
     order = netlist.topo_order()
-    n = len(order)
-    index = {name: position for position, name in enumerate(order)}
-    delay_by_name = netlist.gate_delays()
-    delays = [delay_by_name[name] for name in order]
+    position = {name: index for index, name in enumerate(order)}
+    primary_inputs = frozenset(netlist.primary_inputs)
+    endpoint_set = set(netlist.primary_outputs)
+    return TimingIndex(
+        order=order,
+        position=position,
+        primary_inputs=primary_inputs,
+        fanins=[resolve_fanins(name, netlist.instances[name].fanins,
+                               position, primary_inputs)
+                for name in order],
+        fanouts=[[position[sink] for sink in netlist.fanouts(name)]
+                 for name in order],
+        is_endpoint=[name in endpoint_set for name in order],
+    )
 
-    # Dense adjacency: instance fanins only.  PI fanins arrive at 0 and
-    # the strict > below means they can never become the worst fanin,
-    # so they drop out of the propagation entirely.
-    fanin_indices = [
-        [index[fanin] for fanin in netlist.instances[name].fanins
-         if fanin in index]
-        for name in order
-    ]
 
+def propagate_arrivals(fanins: list[list[int]],
+                       delays: list[float]) -> tuple[list[float], list[int]]:
+    """Arrival at every topo position, and its worst fanin (-1 for none)."""
+    n = len(delays)
     arrival = [0.0] * n
     worst_fanin = [-1] * n
     for position in range(n):
         best_arrival = 0.0
         best_fanin = -1
-        for fanin in fanin_indices[position]:
+        for fanin in fanins[position]:
             fanin_arrival = arrival[fanin]
             if fanin_arrival > best_arrival:
                 best_arrival = fanin_arrival
                 best_fanin = fanin
         arrival[position] = best_arrival + delays[position]
         worst_fanin[position] = best_fanin
+    return arrival, worst_fanin
 
-    endpoint_set = set(netlist.primary_outputs)
-    is_endpoint = [name in endpoint_set for name in order]
-    fanout_indices = [
-        [index[sink] for sink in netlist.fanouts(name)]
-        for name in order
-    ]
+
+def _compute_sta(netlist: Netlist, period: float) -> TimingReport:
+    graph = build_timing_index(netlist)
+    order = graph.order
+    n = len(order)
+    delay_by_name = netlist.gate_delays()
+    delays = [delay_by_name[name] for name in order]
+    arrival, worst_fanin = propagate_arrivals(graph.fanins, delays)
+    is_endpoint = graph.is_endpoint
 
     required = [_INFINITY] * n
     for position in range(n - 1, -1, -1):
         bound = period if is_endpoint[position] else _INFINITY
-        for sink in fanout_indices[position]:
+        for sink in graph.fanouts[position]:
             through = required[sink] - delays[sink]
             if through < bound:
                 bound = through

@@ -6,6 +6,13 @@ STA per trial is O(V + E); this engine re-evaluates only the changed
 gates and their downstream cone, rejecting a change as soon as any
 endpoint misses the period.
 
+It runs on the same topo-order index arrays and arrival kernel as
+:func:`~repro.netlist.sta.compute_sta`: a full refresh is the STA
+arrival pass, and a trial walks integer positions of the affected cone.
+Arrival, delay and input capacitance are stored per position, so a
+trial rebuilds only the listed gates' models and sums each load from
+cached sink capacitances.
+
 Correctness argument: a gate mutation changes (a) its own delay, (b) the
 delay of its fanins when its input capacitance changes (re-sizing).  The
 caller lists every gate whose delay may have changed; arrivals are then
@@ -17,9 +24,13 @@ required-time data is ever consulted.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from repro.errors import NetlistError
 from repro.netlist.graph import Netlist
+from repro.netlist.sta import (build_timing_index, propagate_arrivals,
+                               resolve_fanins)
 
 #: Timing comparison tolerance [s].
 _EPS_S = 1e-15
@@ -30,51 +41,31 @@ class IncrementalTimer:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._topo = netlist.topo_order()
-        self._index = {name: i for i, name in enumerate(self._topo)}
-        self._endpoints = set(netlist.primary_outputs)
-        self._primary_inputs = frozenset(netlist.primary_inputs)
-        self.delay_s: dict[str, float] = {}
-        self.arrival_s: dict[str, float] = {}
         self.full_refresh()
 
     def full_refresh(self) -> None:
         """Recompute all delays and arrivals from scratch."""
-        for name in self._topo:
-            self.delay_s[name] = self.netlist.gate_delay_s(name)
-            self.arrival_s[name] = (self._fanin_arrival(name)
-                                    + self.delay_s[name])
+        netlist = self.netlist
+        graph = build_timing_index(netlist)
+        delays = netlist.gate_delays()
+        self._graph = graph
+        self._endpoints = [position for position, endpoint
+                           in enumerate(graph.is_endpoint) if endpoint]
+        self._delay = [delays[name] for name in graph.order]
+        self._cap = [netlist.instances[name].model().input_cap_f
+                     for name in graph.order]
+        self._arrival, _ = propagate_arrivals(graph.fanins, self._delay)
 
-    def _fanin_arrival(self, name: str,
-                       overlay: dict[str, float] | None = None) -> float:
-        """Latest fanin arrival of ``name`` (0.0 for primary inputs).
-
-        A fanin that is neither a primary input nor a timed instance is
-        an undriven or misnamed net; full STA rejects those at
-        construction, and silently treating one as arriving at t=0
-        would optimistically pass timing -- so raise instead.
-        """
-        instance = self.netlist.instances[name]
-        latest = 0.0
-        for fanin in instance.fanins:
-            if overlay is not None and fanin in overlay:
-                latest = max(latest, overlay[fanin])
-                continue
-            arrival = self.arrival_s.get(fanin)
-            if arrival is None:
-                if fanin in self._primary_inputs:
-                    continue  # PI terminals arrive at t = 0
-                raise NetlistError(
-                    f"instance {name!r}: fanin {fanin!r} is neither a "
-                    f"primary input nor a timed instance (undriven or "
-                    f"misnamed net)")
-            latest = max(latest, arrival)
-        return latest
+    @property
+    def arrival_s(self) -> Mapping[str, float]:
+        """Snapshot of the arrival time at each instance output [s]."""
+        return MappingProxyType(dict(zip(self._graph.order, self._arrival)))
 
     @property
     def critical_delay_s(self) -> float:
         """Longest endpoint arrival [s]."""
-        return max(self.arrival_s[name] for name in self._endpoints)
+        arrival = self._arrival
+        return max(arrival[position] for position in self._endpoints)
 
     def meets_timing(self, period_s: float | None = None) -> bool:
         """True when every endpoint settles within the period."""
@@ -88,67 +79,75 @@ class IncrementalTimer:
 
         ``changed`` lists every instance whose *delay* may have changed
         (the mutated gate, plus its fanins when its input capacitance
-        changed).  Returns True and commits the new arrivals when all
-        endpoints still meet the period; returns False and restores the
-        previous timing state otherwise -- in which case the caller must
-        revert its netlist mutation.
+        changed).  Returns True and commits the new capacitances, delays
+        and arrivals when all endpoints still meet the period; returns
+        False and keeps the previous timing state otherwise -- in which
+        case the caller must revert its netlist mutation.
         """
-        period = (self.netlist.clock_period_s if period_s is None
+        netlist = self.netlist
+        graph = self._graph
+        period = (netlist.clock_period_s if period_s is None
                   else period_s)
+        listed = []
         for name in changed:
-            if name not in self._index:
+            position = graph.position.get(name)
+            if position is None:
                 raise NetlistError(f"unknown instance {name!r}")
+            listed.append(position)
 
-        new_delay: dict[str, float] = {}
-        new_arrival: dict[str, float] = {}
-        heap = []
-        queued = set()
-        for name in changed:
-            new_delay[name] = self.netlist.gate_delay_s(name)
-            heapq.heappush(heap, (self._index[name], name))
-            queued.add(name)
+        # Re-check the listed gates' live fanins (a misnamed net raises),
+        # stage their input capacitances, then time them into loads
+        # summed from the staged and cached sink caps.
+        caps = self._cap
+        staged_cap: dict[int, float] = {}
+        for name, position in zip(changed, listed):
+            instance = netlist.instances[name]
+            resolve_fanins(name, instance.fanins, graph.position,
+                           graph.primary_inputs)
+            staged_cap[position] = instance.model().input_cap_f
+        new_delay: dict[int, float] = {}
+        for name, position in zip(changed, listed):
+            new_delay[position] = netlist.delay_for_sink_caps(
+                name, [staged_cap[sink] if sink in staged_cap
+                       else caps[sink] for sink in graph.fanouts[position]])
 
-        ok = True
+        arrival = self._arrival
+        delay = self._delay
+        fanins = graph.fanins
+        fanouts = graph.fanouts
+        is_endpoint = graph.is_endpoint
+        limit = period + _EPS_S
+        new_arrival: dict[int, float] = {}
+        new_arrival_get = new_arrival.get
+        heappop, heappush = heapq.heappop, heapq.heappush
+        # Sinks come after their driver in topo order, so a popped
+        # position is never pushed again: ``queued`` need not forget it.
+        queued = set(listed)
+        heap = sorted(queued)
         while heap:
-            _, name = heapq.heappop(heap)
-            queued.discard(name)
-            fanin_arrival = self._fanin_arrival(name,
-                                                overlay=new_arrival)
-            delay = new_delay.get(name, self.delay_s[name])
-            arrival = fanin_arrival + delay
-            if name in self._endpoints and arrival > period + _EPS_S:
-                ok = False
-                break
-            if abs(arrival - self.arrival_s[name]) <= _EPS_S \
-                    and name not in new_delay:
-                continue  # no downstream effect from this node
-            if abs(arrival - self.arrival_s[name]) <= _EPS_S \
-                    and name in new_delay:
-                new_arrival[name] = arrival
-                continue  # delay changed but arrival identical: prune
-            new_arrival[name] = arrival
-            for sink in self.netlist.fanouts(name):
+            position = heappop(heap)
+            latest = 0.0
+            for fanin in fanins[position]:
+                fanin_arrival = new_arrival_get(fanin)
+                if fanin_arrival is None:
+                    fanin_arrival = arrival[fanin]
+                if fanin_arrival > latest:
+                    latest = fanin_arrival
+            value = latest + new_delay.get(position, delay[position])
+            if is_endpoint[position] and value > limit:
+                return False
+            if abs(value - arrival[position]) <= _EPS_S:
+                if position in new_delay:
+                    new_arrival[position] = value
+                continue  # no downstream effect from this node: prune
+            new_arrival[position] = value
+            for sink in fanouts[position]:
                 if sink not in queued:
-                    heapq.heappush(heap, (self._index[sink], sink))
+                    heappush(heap, sink)
                     queued.add(sink)
 
-        if not ok:
-            return False
-        self.delay_s.update(new_delay)
-        self.arrival_s.update(new_arrival)
+        for updates, target in ((staged_cap, caps), (new_delay, delay),
+                                (new_arrival, arrival)):
+            for position, value in updates.items():
+                target[position] = value
         return True
-
-    def refresh_gates(self, names: list[str]) -> None:
-        """Recompute and commit delays/arrivals after a reverted change.
-
-        After the caller reverts a rejected mutation the cached state is
-        already consistent (nothing was committed), so this is only
-        needed when the caller makes a change it does not want validated.
-        """
-        for name in names:
-            self.delay_s[name] = self.netlist.gate_delay_s(name)
-        # Propagate unconditionally.
-        start = min(self._index[name] for name in names)
-        for name in self._topo[start:]:
-            self.arrival_s[name] = (self._fanin_arrival(name)
-                                    + self.delay_s[name])

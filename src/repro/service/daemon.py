@@ -640,7 +640,7 @@ class ExperimentService:
         job.records = [record.to_json_dict()
                        for record in sweep.records]
         job.metrics = sweep.metrics.to_json_dict()
-        job.results = json_safe(sweep.results)
+        job.store_results(sweep.results)
         job.interrupted = sweep.interrupted
         for record in sweep.records:
             job.add_event("record", experiment_id=record.experiment_id,
@@ -1012,7 +1012,7 @@ class ServiceServer:
             writer.write(_response(200, {
                 "id": job.id, "state": job.state, "error": job.error,
                 "interrupted": job.interrupted,
-                "results": job.results, "metrics": job.metrics}))
+                "results": job.results(), "metrics": job.metrics}))
             return
 
         if sub == "cancel" and request.method == "POST":

@@ -30,6 +30,7 @@ import itertools
 import json
 import os
 import threading
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -279,8 +280,10 @@ class Job:
     metrics: dict | None = None
     #: RunRecord.to_json_dict() per record of the finished sweep.
     records: list[dict] = field(default_factory=list)
-    #: json-safe results payload, kept until the job is reaped.
-    results: dict | None = None
+    #: zlib-compressed JSON of the finished sweep's results.  A daemon
+    #: keeps every finished job, so the payload is held encoded: a
+    #: several times smaller footprint than its object tree.
+    results_blob: bytes | None = None
     interrupted: bool = False
     #: Times this job was requeued after an orphaned/stalled run.
     recovery_attempts: int = 0
@@ -300,6 +303,17 @@ class Job:
     #: it (assigned by the daemon; None in unit tests).
     wal: Any = None
     lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def store_results(self, results: Any) -> None:
+        """Keep the finished sweep's results, json-safe and compressed."""
+        self.results_blob = zlib.compress(
+            json.dumps(json_safe(results)).encode("utf-8"))
+
+    def results(self) -> Any:
+        """The stored results payload (None until the job finishes)."""
+        if self.results_blob is None:
+            return None
+        return json.loads(zlib.decompress(self.results_blob))
 
     def add_event(self, kind: str, **data: Any) -> dict:
         """Record one lifecycle/progress event (thread-safe)."""

@@ -181,3 +181,12 @@ class TestDesignValidation:
     def test_nonpositive_wnl_rejected(self, device):
         with pytest.raises(ModelParameterError):
             GateModel(device, wn_over_l=0.0)
+
+    def test_device_and_design_are_read_only(self, inverter, device):
+        # The input capacitance and drive currents are cached at
+        # construction, so the inputs they derive from cannot be swapped.
+        with pytest.raises(AttributeError):
+            inverter.device = device.with_vth(device.vth_v + 0.1)
+        with pytest.raises(AttributeError):
+            inverter.design = GateDesign(size=2.0)
+        assert inverter.device is device

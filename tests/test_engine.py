@@ -147,6 +147,40 @@ def test_fingerprint_tracks_source_changes(tmp_path):
     assert before != after
 
 
+def test_fingerprint_follows_edits_and_deletion_of_imported_module(
+        tmp_path, monkeypatch):
+    # Each file's resolved imports are cached per file version; an edit
+    # to, or the deletion of, a module it imports must still change the
+    # fingerprint, and a deleted target must not raise.
+    import importlib.util
+
+    import repro
+
+    package_dir = tmp_path / "extra"
+    package_dir.mkdir()
+    target = package_dir / "fp_probe_target.py"
+    target.write_text("VALUE = 1\n")
+    monkeypatch.setattr(repro, "__path__",
+                        [*repro.__path__, str(package_dir)])
+    importlib.invalidate_caches()
+    runner_path = tmp_path / "fp_probe_runner.py"
+    runner_path.write_text(
+        "def runner():\n"
+        "    import repro.fp_probe_target\n"
+        "    return repro.fp_probe_target.VALUE\n")
+    spec = importlib.util.spec_from_file_location(
+        "fp_probe_runner", runner_path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    first = runner_fingerprint("E-ZZ", module.runner)
+    target.write_text("VALUE = 2  # edited\n")
+    edited = runner_fingerprint("E-ZZ", module.runner)
+    target.unlink()
+    deleted = runner_fingerprint("E-ZZ", module.runner)
+    assert len({first, edited, deleted}) == 3
+
+
 def test_fingerprint_covers_transitive_imports():
     # reproduce_table1 lives in repro.analysis.table1, which pulls in
     # repro.devices.*; the fingerprint must not be just the one file.

@@ -1,11 +1,13 @@
 """Netlist DAG construction, loads, level converters."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.circuits.gate import GateDesign, GateKind
+from repro.circuits.gate import GateDesign, GateKind, GateModel
 from repro.circuits.library import Cell, build_library
 from repro.devices.params import device_for_node
 from repro.errors import NetlistError
+from repro.netlist.generate import random_netlist
 from repro.netlist.graph import (
     FLOP_LOAD_FACTOR,
     Netlist,
@@ -163,3 +165,34 @@ class TestInstanceState:
         instance.size_factor = 0.5
         assert instance.effective_design().size == pytest.approx(
             0.5 * instance.cell.design.size)
+
+
+@settings(max_examples=20, deadline=None)
+@given(changes=st.lists(
+    st.tuples(st.integers(min_value=0, max_value=39),
+              st.sampled_from((None, -0.05, 0.05, 0.1)),
+              st.sampled_from((0.35, 0.8, 1.0, 1.25, 2.0))),
+    min_size=1, max_size=15))
+def test_memoized_model_matches_fresh_build(changes):
+    # Instance.model() is memoized per (cell, vth_v, size_factor); after
+    # any sequence of changes it must equal a model built from scratch.
+    netlist = random_netlist(100, n_gates=40, seed=5)
+    names = list(netlist.topo_order())
+    supplies = (netlist.nominal_vdd_v, 0.65 * netlist.nominal_vdd_v)
+    for pick, vth_delta, size in changes:
+        instance = netlist.instances[names[pick]]
+        instance.model()
+        device = instance.cell.device
+        instance.vth_v = (None if vth_delta is None
+                          else device.vth_v + vth_delta)
+        instance.size_factor = size
+        if instance.vth_v is not None:
+            device = device.with_vth(instance.vth_v)
+        fresh = GateModel(device, instance.effective_design())
+        model = instance.model()
+        assert instance.model() is model
+        assert model.input_cap_f == fresh.input_cap_f
+        for load in (1e-15, 8e-15):
+            for vdd in supplies:
+                assert model.delay_s(load, vdd_v=vdd) \
+                    == fresh.delay_s(load, vdd_v=vdd)

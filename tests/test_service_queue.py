@@ -97,6 +97,19 @@ def test_job_transitions_stamp_times_and_events():
     assert job.wall_s() is not None
 
 
+def test_job_results_round_trip_through_compact_storage():
+    numpy = pytest.importorskip("numpy")
+    results = {"E-T1": {"rows": [(1, 2.5)], "x": numpy.float64(0.1),
+                        "nan": float("nan")},
+               "E-T2": [0.1 + 0.2, 1e-300]}
+    job = _job()
+    assert job.results() is None
+    job.store_results(results)
+    # decoded payload equals what the results endpoint used to encode
+    expected = json.dumps(json_safe(results), sort_keys=True)
+    assert json.dumps(job.results(), sort_keys=True) == expected
+
+
 def test_job_rejects_unknown_state():
     with pytest.raises(ReproError):
         _job().transition("exploded")
