@@ -916,7 +916,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    signalled = run_service(config)
+    try:
+        signalled = run_service(config)
+    except ReproError as exc:  # e.g. a job WAL that cannot be read
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("repro service stopped"
           + (" (drain signal)" if signalled else ""))
     return EXIT_INTERRUPTED if signalled else EXIT_ALL_OK

@@ -26,20 +26,19 @@ active work and sum to ``wall_time_s``; ``queue`` / ``retry`` measure
 waiting (slot contention and backoff) and are excluded from
 ``wall_time_s``.
 
-Crash safety: appends are flushed and fsynced (each line lands as one
-``write`` on an ``O_APPEND`` descriptor), and recovery tolerates a
-torn journal -- :meth:`RunJournal.recover` parses what it can and
-skips truncated trailing lines or any line mangled by an interrupted
-or interleaved writer, instead of losing the whole history.
+Crash safety is :mod:`repro.journal`'s: each batch of records is one
+fsync'd ``write`` on an ``O_APPEND`` descriptor, and
+:meth:`RunJournal.recover` skips truncated or interleaved lines
+instead of losing the whole history.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
+
+from repro import journal
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -124,22 +123,13 @@ class RunJournal:
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
 
-    def _write_lines(self, lines: list[str]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as stream:
-            stream.writelines(lines)
-            stream.flush()
-            os.fsync(stream.fileno())
-
     def append(self, record: RunRecord) -> None:
-        self._write_lines(
-            [json.dumps(record.to_json_dict(), sort_keys=True) + "\n"])
+        journal.append(self.path, [journal.encode(record.to_json_dict())],
+                       durable=True)
 
     def append_many(self, records: Iterable[RunRecord]) -> None:
-        lines = [json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
-                 for record in records]
-        if lines:
-            self._write_lines(lines)
+        journal.append(self.path, [journal.encode(record.to_json_dict())
+                                   for record in records], durable=True)
 
     @classmethod
     def recover(cls, path: Path | str) -> tuple[list["RunRecord"], int]:
@@ -147,33 +137,6 @@ class RunJournal:
 
         Returns ``(records, skipped)`` where ``skipped`` counts lines
         lost to truncation (a writer died mid-append) or interleaving.
+        A missing journal has no records.
         """
-        records: list[RunRecord] = []
-        skipped = 0
-        text = Path(path).read_text(encoding="utf-8")
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(RunRecord.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                skipped += 1
-        return records, skipped
-
-    @classmethod
-    def read(cls, path: Path | str, *,
-             strict: bool = False) -> list["RunRecord"]:
-        """Parse a journal file back into records.
-
-        With ``strict=False`` (the default) malformed lines are
-        skipped -- the recovery behaviour sweeps rely on; with
-        ``strict=True`` any malformed line raises.
-        """
-        if not strict:
-            return cls.recover(path)[0]
-        records = []
-        text = Path(path).read_text(encoding="utf-8")
-        for line in text.splitlines():
-            if line.strip():
-                records.append(RunRecord.from_json_dict(json.loads(line)))
-        return records
+        return journal.replay(path, RunRecord.from_json_dict)

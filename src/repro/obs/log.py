@@ -27,9 +27,9 @@ Design constraints, in the order they were chosen:
   ``REPRO_LOG_PATH`` configures a file sink lazily on first use so
   subprocesses (pool workers, smoke-test daemons) can be steered
   without code changes;
-* **fork-safe file handoff** -- the writer holds an append-mode
-  handle and re-opens it when it notices the pid changed, so a forked
-  engine worker inherits the sink and its single-``write`` JSONL
+* **fork-safe file sink** -- each record is one ``O_APPEND`` write
+  (:func:`repro.journal.append`) and no handle is held between
+  records, so a forked engine worker logs to the same path and its
   lines interleave with the parent's instead of corrupting them.
 
 :func:`validate_log_records` is the schema gate behind
@@ -45,6 +45,7 @@ import threading
 from pathlib import Path
 from typing import Any, TextIO
 
+from repro import journal
 from repro.obs.clock import wall_now
 from repro.obs.context import context_fields
 
@@ -61,17 +62,14 @@ RECORD_FIELDS = ("ts", "level", "logger", "event", "pid")
 
 
 class _LogState:
-    """Module-wide sink state (one writer per process)."""
+    """Module-wide sink state (one sink per process)."""
 
-    __slots__ = ("path", "stream", "handle", "level_rank", "pid",
-                 "lock", "env_checked")
+    __slots__ = ("path", "stream", "level_rank", "lock", "env_checked")
 
     def __init__(self) -> None:
         self.path: Path | None = None
         self.stream: TextIO | None = None
-        self.handle: TextIO | None = None
         self.level_rank: int = LEVELS[DEFAULT_LEVEL]
-        self.pid: int = os.getpid()
         self.lock = threading.Lock()
         #: Lazily consult REPRO_LOG_PATH only once per configuration.
         self.env_checked = False
@@ -97,39 +95,25 @@ def configure_logging(path: Path | str | None = None, *,
     """Install a JSONL sink (a file path, an open stream, or both off).
 
     ``level`` defaults to ``REPRO_LOG_LEVEL`` (else ``info``).
-    Reconfiguring replaces the previous sink; the old file handle is
-    closed.  Passing neither ``path`` nor ``stream`` leaves logging
-    disabled (but still applies the level for a later sink).
+    Reconfiguring replaces the previous sink.  Passing neither ``path``
+    nor ``stream`` leaves logging disabled (but still applies the level
+    for a later sink).
     """
     with _state.lock:
-        if _state.handle is not None:
-            try:
-                _state.handle.close()
-            except OSError:
-                pass
-        _state.handle = None
         _state.path = Path(path) if path is not None else None
         _state.stream = stream
         _state.level_rank = _parse_level(
             level if level is not None
             else os.environ.get(LOG_LEVEL_ENV))
-        _state.pid = os.getpid()
         _state.env_checked = True
 
 
 def reset_logging() -> None:
     """Drop any configured sink (tests; child processes opting out)."""
     with _state.lock:
-        if _state.handle is not None:
-            try:
-                _state.handle.close()
-            except OSError:
-                pass
-        _state.handle = None
         _state.path = None
         _state.stream = None
         _state.level_rank = LEVELS[DEFAULT_LEVEL]
-        _state.pid = os.getpid()
         _state.env_checked = False
 
 
@@ -163,25 +147,6 @@ def _maybe_env_configure() -> None:
             _state.level_rank = LEVELS[DEFAULT_LEVEL]
 
 
-def _writer() -> TextIO | None:
-    """The current sink handle, re-opened after a fork if needed."""
-    if _state.stream is not None:
-        return _state.stream
-    if _state.path is None:
-        return None
-    pid = os.getpid()
-    if _state.handle is None or _state.pid != pid:
-        try:
-            _state.path.parent.mkdir(parents=True, exist_ok=True)
-            # Append mode: POSIX O_APPEND keeps one-line writes from
-            # parent and forked children from overwriting each other.
-            _state.handle = _state.path.open("a", encoding="utf-8")
-            _state.pid = pid
-        except OSError:
-            return None
-    return _state.handle
-
-
 def _emit(level: str, logger: str, event: str,
           fields: dict[str, Any]) -> None:
     _maybe_env_configure()
@@ -205,15 +170,16 @@ def _emit(level: str, logger: str, event: str,
                           default=repr) + "\n"
     except (TypeError, ValueError):
         return
-    with _state.lock:
-        handle = _writer()
-        if handle is None:
-            return
-        try:
-            handle.write(line)
-            handle.flush()
-        except (OSError, ValueError, io.UnsupportedOperation):
-            pass  # logging is best-effort observability
+    stream, path = _state.stream, _state.path
+    try:
+        if stream is not None:
+            with _state.lock:
+                stream.write(line)
+                stream.flush()
+        elif path is not None:
+            journal.append(path, [line], durable=False)
+    except (OSError, ValueError, io.UnsupportedOperation):
+        pass  # logging is best-effort observability
 
 
 class StructuredLogger:

@@ -33,7 +33,6 @@ holds, 3 for a reliability bug, 2 for a driver/usage failure.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -43,6 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from repro.engine.records import RunJournal
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import TERMINAL_STATES
 
@@ -174,25 +174,6 @@ def _wait_for_url(log_path: Path, deadline_s: float = 30.0) -> str:
         f"(log: {log_path})")
 
 
-def _journal_records(journal: Path) -> list[dict]:
-    """Parse the engine run journal, skipping torn lines."""
-    try:
-        text = journal.read_text(encoding="utf-8")
-    except OSError:
-        return []
-    records = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if isinstance(record, dict):
-                records.append(record)
-        except ValueError:
-            continue
-    return records
-
-
 def _stored_keys(state_dir: Path) -> set[str]:
     """Experiment ids with a stored ``.rpc`` entry right now."""
     objects = state_dir / "objects"
@@ -245,7 +226,7 @@ def run_service_chaos(
             time.sleep(0.02)
         report.pre_kill_states = jobs
         pre_stored = _stored_keys(state_dir)
-        pre_journal = len(_journal_records(journal))
+        pre_journal = len(RunJournal.recover(journal)[0])
         daemon.send_signal(signal.SIGKILL)
         daemon.wait(timeout=30.0)
         killed = True
@@ -301,12 +282,11 @@ def run_service_chaos(
                 f"recovery_attempts {report.max_recovery_attempts_seen}"
                 f" exceeds the configured bound {bound}")
 
-        for record in _journal_records(journal)[pre_journal:]:
-            experiment = record.get("experiment_id")
-            if (experiment in pre_stored
-                    and record.get("status") == "ok"
-                    and not record.get("cache_hit")):
-                report.duplicates.append(("post-restart", experiment))
+        for record in RunJournal.recover(journal)[0][pre_journal:]:
+            if (record.experiment_id in pre_stored and record.ok
+                    and not record.cache_hit):
+                report.duplicates.append(
+                    ("post-restart", record.experiment_id))
         if report.duplicates:
             report.problems.append(
                 f"{len(report.duplicates)} already-stored key(s) were "

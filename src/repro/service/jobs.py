@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro import journal
 from repro.errors import ReproError
 from repro.obs import wall_now
 
@@ -218,6 +219,12 @@ def next_job_id() -> str:
     return f"j-{os.getpid():05d}-{next(_job_counter):06d}"
 
 
+def _event(record: dict) -> dict:
+    if "seq" not in record:
+        raise ValueError("not an event record")
+    return record
+
+
 class JobEventLog:
     """Append-only JSONL event file for one job (crash-tolerant)."""
 
@@ -228,10 +235,8 @@ class JobEventLog:
         if self.path is None:
             return
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as stream:
-                stream.write(json.dumps(event, sort_keys=True) + "\n")
-                stream.flush()
+            journal.append(self.path, [journal.encode(event)],
+                           durable=False)
         except OSError:
             pass  # event files are best-effort observability
 
@@ -246,23 +251,9 @@ class JobEventLog:
         if self.path is None:
             return [], 0
         try:
-            text = self.path.read_text(encoding="utf-8")
+            return journal.replay(self.path, _event)
         except OSError:
             return [], 0
-        events: list[dict] = []
-        skipped = 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-                if not isinstance(event, dict) or "seq" not in event:
-                    raise ValueError("not an event record")
-            except (ValueError, TypeError):
-                skipped += 1
-                continue
-            events.append(event)
-        return events, skipped
 
 
 @dataclass

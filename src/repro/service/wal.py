@@ -16,29 +16,30 @@ Record schema (one JSON object per line)::
     {"op": "state", "job": "j-00042-000001", "state": "running",
      "ts": 1754380800.4, "reason": null, "recovery_attempts": 0}
 
-Recovery mirrors the engine's run journal: :meth:`JobWAL.replay`
-parses what it can and skips torn or interleaved lines (a writer
-killed mid-append costs that one line, never the journal), returning
-per-job :class:`WalEntry` state in original arrival order.  The daemon
-uses it on startup to rebuild the job table: still-queued jobs are
-re-admitted in priority/arrival order, jobs that were ``running`` when
-the process died are *orphans* and are requeued with a bounded
-``recovery_attempts`` counter, and terminal jobs become state-only
-stubs (their in-memory results are gone, their outcome is not).
+Recovery is :mod:`repro.journal`'s, as for every journal here:
+:meth:`JobWAL.replay` skips torn, interleaved or invalid lines (a
+writer killed mid-append costs that one line, never the journal),
+returning per-job :class:`WalEntry` state in original arrival order.
+The daemon uses it on startup to rebuild the job table: still-queued
+jobs are re-admitted in priority/arrival order, jobs that were
+``running`` when the process died are *orphans* and are requeued with
+a bounded ``recovery_attempts`` counter, and terminal jobs become
+state-only stubs (their in-memory results are gone, their outcome is
+not).
 
-:meth:`JobWAL.compact` atomically rewrites the journal down to the
-live set (plus a bounded tail of terminal stubs) so the WAL does not
-grow without bound across restarts.
+:meth:`JobWAL.compact` atomically and durably rewrites the journal down
+to the live set (plus a bounded tail of terminal stubs) so the WAL does
+not grow without bound across restarts.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from repro import journal
+from repro.errors import ReproError
 from repro.obs import add_counter, wall_now
 from repro.service.jobs import JOB_QUEUED, JOB_STATES, JobSpec, TERMINAL_STATES
 
@@ -48,6 +49,22 @@ OP_STATE = "state"
 
 #: Default file name under the service state directory.
 WAL_FILENAME = "wal.jsonl"
+
+
+def _submit_record(job_id: str, spec: JobSpec, submitted_at: float) -> dict:
+    return {"op": OP_SUBMIT, "job": job_id, "ts": submitted_at,
+            "spec": spec.to_json_dict()}
+
+
+def _state_record(job_id: str, state: str, reason: str | None,
+                  error: str | None, recovery_attempts: int) -> dict:
+    record = {"op": OP_STATE, "job": job_id, "ts": wall_now(),
+              "state": state, "recovery_attempts": recovery_attempts}
+    if reason is not None:
+        record["reason"] = reason
+    if error is not None:
+        record["error"] = error
+    return record
 
 
 @dataclass
@@ -110,13 +127,9 @@ class JobWAL:
     # -- appends ------------------------------------------------------
 
     def _append(self, record: dict) -> bool:
-        line = json.dumps(record, sort_keys=True) + "\n"
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as stream:
-                stream.write(line)
-                stream.flush()
-                os.fsync(stream.fileno())
+            journal.append(self.path, [journal.encode(record)],
+                           durable=True)
         except OSError:
             self.write_errors += 1
             add_counter("wal.write_errors")
@@ -126,59 +139,37 @@ class JobWAL:
     def log_submit(self, job_id: str, spec: JobSpec,
                    submitted_at: float | None = None) -> bool:
         """Journal a submission; call **before** acknowledging it."""
-        return self._append({
-            "op": OP_SUBMIT,
-            "job": job_id,
-            "ts": wall_now() if submitted_at is None else submitted_at,
-            "spec": spec.to_json_dict(),
-        })
+        return self._append(_submit_record(
+            job_id, spec,
+            wall_now() if submitted_at is None else submitted_at))
 
     def log_state(self, job_id: str, state: str, *,
                   reason: str | None = None,
                   error: str | None = None,
                   recovery_attempts: int = 0) -> bool:
         """Journal a state transition (queued/running/terminal)."""
-        record = {
-            "op": OP_STATE,
-            "job": job_id,
-            "ts": wall_now(),
-            "state": state,
-            "recovery_attempts": recovery_attempts,
-        }
-        if reason is not None:
-            record["reason"] = reason
-        if error is not None:
-            record["error"] = error
-        return self._append(record)
+        return self._append(_state_record(
+            job_id, state, reason, error, recovery_attempts))
 
     # -- recovery -----------------------------------------------------
 
     def replay(self) -> ReplayReport:
         """Rebuild per-job state from the journal, tolerating tears.
 
-        A line that does not parse as JSON, is not a dict, or carries a
-        malformed spec/state is counted in ``skipped`` and dropped --
-        exactly the behaviour of the engine's
-        :meth:`~repro.engine.records.RunJournal.recover`.  A ``state``
-        record whose submit line was lost is counted in ``dangling``.
+        A line that does not parse as JSON, is not an object, or
+        carries a malformed spec/state is counted in ``skipped`` and
+        dropped.  A ``state`` record whose submit line was lost is
+        counted in ``dangling``.  A missing WAL is empty; one that
+        cannot be read raises :class:`~repro.errors.ReproError`, as
+        starting empty would let the next compaction overwrite it.
         """
         report = ReplayReport()
         try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return report
-        except OSError:
-            return report
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("WAL record is not an object")
-                self._apply(record, report)
-            except (ValueError, KeyError, TypeError):
-                report.skipped += 1
+            _, report.skipped = journal.replay(
+                self.path, lambda record: self._apply(record, report))
+        except OSError as exc:
+            raise ReproError(
+                f"cannot read job WAL {self.path}: {exc}") from exc
         return report
 
     @staticmethod
@@ -202,12 +193,12 @@ class JobWAL:
             state = str(record["state"])
             if state not in JOB_STATES:
                 raise ValueError(f"unknown WAL state {state!r}")
+            attempts = int(record.get("recovery_attempts", 0))
             entry.state = state
             entry.reason = record.get("reason")
             entry.error = record.get("error")
-            entry.recovery_attempts = max(
-                entry.recovery_attempts,
-                int(record.get("recovery_attempts", 0)))
+            entry.recovery_attempts = max(entry.recovery_attempts,
+                                          attempts)
             return
         raise ValueError(f"unknown WAL op {op!r}")
 
@@ -234,37 +225,17 @@ class JobWAL:
         for entry in ordered:
             if id(entry) in drop:
                 continue
-            lines.append(json.dumps({
-                "op": OP_SUBMIT, "job": entry.job_id,
-                "ts": entry.submitted_at,
-                "spec": entry.spec.to_json_dict(),
-            }, sort_keys=True) + "\n")
+            lines.append(journal.encode(_submit_record(
+                entry.job_id, entry.spec, entry.submitted_at)))
             if entry.state != JOB_QUEUED or entry.recovery_attempts:
-                record = {
-                    "op": OP_STATE, "job": entry.job_id,
-                    "ts": wall_now(), "state": entry.state,
-                    "recovery_attempts": entry.recovery_attempts,
-                }
-                if entry.reason is not None:
-                    record["reason"] = entry.reason
-                if entry.error is not None:
-                    record["error"] = entry.error
-                lines.append(json.dumps(record, sort_keys=True) + "\n")
+                lines.append(journal.encode(_state_record(
+                    entry.job_id, entry.state, entry.reason,
+                    entry.error, entry.recovery_attempts)))
             kept += 1
-        tmp = self.path.parent / f".{self.path.name}.{os.getpid()}.tmp"
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with tmp.open("w", encoding="utf-8") as stream:
-                stream.writelines(lines)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp, self.path)
+            journal.rewrite(self.path, lines)
         except OSError:
             self.write_errors += 1
             add_counter("wal.write_errors")
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
             return 0
         return kept

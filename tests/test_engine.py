@@ -75,7 +75,7 @@ def test_journal_round_trip(tmp_path):
                   error="ValueError('boom')"),
     ]
     journal.append_many(records)
-    assert RunJournal.read(journal.path) == records
+    assert RunJournal.recover(journal.path) == (records, 0)
     # every line is standalone JSON
     lines = journal.path.read_text().splitlines()
     assert all(json.loads(line)["experiment_id"] for line in lines)
@@ -92,9 +92,6 @@ def test_journal_recovery_skips_truncated_tail(tmp_path):
     records, skipped = RunJournal.recover(journal.path)
     assert records == good
     assert skipped == 1
-    assert RunJournal.read(journal.path) == good  # tolerant by default
-    with pytest.raises(json.JSONDecodeError):
-        RunJournal.read(journal.path, strict=True)
 
 
 def test_journal_recovery_skips_interleaved_writers(tmp_path):
@@ -621,7 +618,7 @@ def test_engine_writes_journal(tmp_path, monkeypatch):
     _inject(monkeypatch, "E-BAD", bad_runner)
     config = _config(tmp_path)
     run_experiments(["E-T1", "E-BAD"], config=config)
-    records = RunJournal.read(config.effective_journal_path)
+    records, _ = RunJournal.recover(config.effective_journal_path)
     by_id = {record.experiment_id: record for record in records}
     assert by_id["E-T1"].status == "ok"
     assert "journalled failure" in by_id["E-BAD"].error
@@ -827,7 +824,7 @@ def test_record_phases_round_trip_through_journal(tmp_path):
                   phases={"lookup": 0.001}),
     ]
     journal.append_many(records)
-    assert RunJournal.read(journal.path) == records
+    assert RunJournal.recover(journal.path) == (records, 0)
 
 
 def test_process_sweep_phases_sum_to_wall_time(tmp_path):
@@ -1065,7 +1062,7 @@ def test_drain_signal_cancels_pending_tasks(tmp_path, monkeypatch):
     assert sweep.metrics.cancelled == 1
     assert not sweep.metrics.all_ok
     # the journal flushed both records
-    journal = RunJournal.read(config.effective_journal_path)
+    journal, _ = RunJournal.recover(config.effective_journal_path)
     assert {record.status for record in journal} == {"ok", "cancelled"}
 
 

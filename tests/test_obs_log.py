@@ -122,7 +122,7 @@ def test_env_configuration_lazy(tmp_path, monkeypatch):
 
 def test_fork_reopens_the_sink(tmp_path):
     """A forked child appends its own records without clobbering the
-    parent's handle -- both pids land in the file."""
+    parent's -- both pids land in the file."""
     if not hasattr(os, "fork"):
         pytest.skip("fork not available")
     path = tmp_path / "forked.jsonl"

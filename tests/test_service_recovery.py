@@ -5,11 +5,14 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.experiments import EXPERIMENTS, Experiment
 from repro.engine.cache import CLAIM_SUFFIX, ResultCache
+from repro.errors import ReproError
+from repro.obs import deactivate
 from repro.reliability.backoff import BackoffPolicy
 from repro.service import (
     ExperimentService,
@@ -83,6 +86,32 @@ def test_recover_readmits_queued_jobs_in_order(tmp_path):
     assert revived.queue.depth() == 3
     popped = [revived.queue.pop().id for _ in range(3)]
     assert popped == ids  # original arrival order
+
+
+def test_unreadable_wal_fails_start_and_is_not_overwritten(
+        tmp_path, monkeypatch):
+    crashed = _service(tmp_path)
+    for index in range(3):
+        crashed.submit(JobSpec(tenant=f"t{index}"))
+    wal_path = _wal(tmp_path).path
+    before = wal_path.read_bytes()
+    real_open = Path.open
+
+    def guarded_open(self, *args, **kwargs):
+        if self == wal_path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", guarded_open)
+    revived = _service(tmp_path)
+    try:
+        with pytest.raises(ReproError, match="cannot read job WAL"):
+            revived.start()
+    finally:
+        deactivate()
+        monkeypatch.undo()
+    assert revived.jobs == {}
+    assert wal_path.read_bytes() == before
 
 
 def test_recover_requeues_orphan_with_bounded_attempts(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -73,6 +74,30 @@ def test_torn_final_line_is_dropped_not_fatal(wal):
     assert report.entries["j-2"].state == JOB_QUEUED
 
 
+def test_submit_after_a_torn_first_submit_survives_replay(wal):
+    """A torn line must not swallow the next, acknowledged, record."""
+    wal.path.parent.mkdir(parents=True)
+    wal.path.write_text('{"op": "submit", "job": "j-0", "sp')  # killed
+    assert wal.replay().entries == {}
+
+    assert wal.log_submit("j-1", JobSpec()) is True
+    report = wal.replay()
+    assert set(report.entries) == {"j-1"}
+    assert report.skipped == 1
+
+
+def test_invalid_spec_line_is_skipped_not_fatal(wal):
+    wal.log_submit("j-1", JobSpec())
+    with wal.path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"op": "submit", "job": "j-bad",
+                                 "ts": 1.0,
+                                 "spec": {"priority": "urgent"}}) + "\n")
+    wal.log_submit("j-2", JobSpec())
+    report = wal.replay()
+    assert set(report.entries) == {"j-1", "j-2"}
+    assert report.skipped == 1
+
+
 def test_garbage_lines_are_counted_and_skipped(wal):
     wal.log_submit("j-1", JobSpec())
     with wal.path.open("a", encoding="utf-8") as handle:
@@ -80,8 +105,11 @@ def test_garbage_lines_are_counted_and_skipped(wal):
         handle.write('{"op": "unknown-op", "job_id": "j-1"}\n')
         handle.write('{"op": "state", "job_id": "j-1", '
                      '"state": "no-such-state"}\n')
+        # rejected whole: a bad field must not half-apply the record
+        handle.write('{"op": "state", "job": "j-1", "state": "running", '
+                     '"recovery_attempts": "many"}\n')
     report = wal.replay()
-    assert report.skipped == 3
+    assert report.skipped == 4
     assert report.entries["j-1"].state == JOB_QUEUED
 
 
@@ -163,3 +191,26 @@ def test_append_failure_is_counted_not_raised(wal, monkeypatch):
     monkeypatch.setattr(os, "fsync", boom)
     assert wal.log_state("j-1", JOB_RUNNING) is False
     assert wal.write_errors == 1
+
+
+def test_compaction_fsyncs_the_directory_after_the_rename(
+        wal, monkeypatch):
+    """Without the directory fsync a power loss can bring back the old
+    WAL after later fsync'd appends went to the new one."""
+    wal.log_submit("j-1", JobSpec())
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        calls.append(f"fsync-{kind}")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    assert wal.compact(wal.replay().entries.values()) == 1
+    assert calls == ["fsync-file", "replace", "fsync-dir"]
