@@ -17,6 +17,9 @@
   skips torn lines;
 * :class:`~repro.engine.metrics.EngineMetrics` -- aggregate sweep
   summary (outcomes, cache hit rate, parallel speedup);
+* :mod:`~repro.engine.cpus` -- the CPUs this process may use, and the
+  cap that gives each forked worker its share of them as OpenBLAS
+  threads;
 * fault injection -- :attr:`EngineConfig.fault_plan` accepts a
   :class:`~repro.reliability.faults.FaultPlan` so the chaos harness
   (:mod:`repro.reliability.chaos`) can prove every recovery path.

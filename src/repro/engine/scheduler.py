@@ -10,7 +10,9 @@ The scheduler executes any subset of the experiment registry with
   singly, and a worker that dies mid-batch costs only the tasks it
   never reported, which are retried singly;
 * a **process pool** (``jobs`` worker processes, forked on platforms
-  that support it so monkeypatched registries propagate), a
+  that support it so monkeypatched registries propagate, each with its
+  OpenBLAS pools capped at ``usable CPUs // jobs`` threads by
+  :mod:`repro.engine.cpus`), a
   per-experiment **timeout** that actually kills the worker, and
   **bounded retries** spaced by exponential backoff with deterministic
   jitter (:class:`~repro.reliability.backoff.BackoffPolicy`);
@@ -83,6 +85,12 @@ from repro.engine.cache import (
     DEFAULT_CLAIM_TTL_S,
     ResultCache,
     runner_fingerprint,
+)
+from repro.engine.cpus import (
+    BlasPool,
+    cap_blas_threads,
+    openblas_pools,
+    usable_cpus,
 )
 from repro.engine.metrics import EngineMetrics
 from repro.engine.records import (
@@ -178,6 +186,9 @@ def observe_record_metrics(metrics: MetricsRegistry,
 def default_jobs() -> int:
     """Default worker count: ``REPRO_WORKERS`` if set, else min(4, CPUs).
 
+    CPUs are the ones this process may run on (:func:`usable_cpus`), so
+    a ``taskset`` or cpuset mask lowers the default.
+
     The four-worker cap keeps CI machines and laptops responsive, but it
     is a *default*, not a limit: operators running large sweeps on big
     hosts lift it with the ``REPRO_WORKERS`` environment variable or the
@@ -195,7 +206,7 @@ def default_jobs() -> int:
             raise ReproError(
                 f"REPRO_WORKERS must be >= 1, got {value}")
         return value
-    return max(1, min(4, os.cpu_count() or 1))
+    return min(4, usable_cpus())
 
 
 @dataclass(frozen=True)
@@ -288,7 +299,9 @@ def _mp_context() -> multiprocessing.context.BaseContext:
 
 def _run_batch(experiment_ids: Sequence[str], send,
                fault: FaultSpec | None = None, *, forked: bool = True,
-               traced: bool = False, context: dict | None = None) -> None:
+               blas_pools: Sequence[BlasPool] = (),
+               blas_threads: int | None = None, traced: bool = False,
+               context: dict | None = None) -> None:
     """Worker body: run a batch of experiments in turn, reporting each.
 
     Each experiment sends one ``("task", id, status, value, run_s)``
@@ -303,17 +316,25 @@ def _run_batch(experiment_ids: Sequence[str], send,
     plus its wakeup fd under ``repro serve``) would swallow the
     ``terminate()`` that enforces timeouts and forward it into the
     parent's event loop.  SIGINT is ignored, as a terminal Ctrl-C
-    reaches the parent too, which drains.  ``traced`` records a worker
+    reaches the parent too, which drains.  ``blas_threads`` caps the
+    OpenBLAS pools the parent found and the worker inherited
+    (``blas_pools``) at its share of the CPUs, and each ``worker.run``
+    span records the resulting pool sizes as ``blas_pools``.
+    ``traced`` records a worker
     trace (a forked parent trace would be a dead copy); ``context``
     re-installs the parent's correlation fields, which thread-local
     state does not carry across fork.  The inline executor calls this
     in-process with ``forked=False``: spans land in the caller's trace
     and crash/hang faults degrade to exceptions.
     """
+    run_attributes = {}
     if forked:
         signal_module.set_wakeup_fd(-1)
         signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
         signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
+        if blas_threads is not None:
+            run_attributes["blas_pools"] = cap_blas_threads(
+                blas_pools, blas_threads)
         reset_tracing()  # a trace inherited over fork would swallow spans
         if context:
             set_trace_context(**context)
@@ -325,7 +346,8 @@ def _run_batch(experiment_ids: Sequence[str], send,
         start = time.monotonic()
         try:
             apply_runner_fault(fault, allow_exit=forked)
-            with span("worker.run", experiment=experiment_id):
+            with span("worker.run", experiment=experiment_id,
+                      **run_attributes):
                 result = EXPERIMENTS[experiment_id].runner()
             send(("task", experiment_id, STATUS_OK, result,
                   time.monotonic() - start))
@@ -418,6 +440,12 @@ class ExecutionEngine:
         self.journal = (RunJournal(journal_path)
                         if journal_path is not None else None)
         self._fired: list[FiredFault] = []
+        #: OpenBLAS threads per forked worker; None for the inline
+        #: executor, which leaves this process's pools alone.  The
+        #: pools are found at a sweep's first forked launch, so a
+        #: sweep served from the cache never scans for them.
+        self._blas_threads: int | None = None
+        self._blas_pools: list[BlasPool] | None = None
         self._interrupted = False
         self._aborted = False
         self._abort_reason = ""
@@ -444,6 +472,12 @@ class ExecutionEngine:
         self._interrupted = False
         self._aborted = False
         self._abort_reason = ""
+        self._blas_threads = (
+            None if self.config.executor == EXECUTOR_INLINE
+            else max(1, usable_cpus() // self.config.jobs))
+        self._blas_pools = None
+        budget = ({} if self._blas_threads is None
+                  else {"blas_threads": self._blas_threads})
         records: dict[str, RunRecord] = {}
         results: dict[str, Any] = {}
         metrics = current_metrics()
@@ -465,10 +499,10 @@ class ExecutionEngine:
                 stack.enter_context(
                     span("engine.sweep", experiments=len(ids),
                          jobs=self.config.jobs,
-                         executor=self.config.executor))
+                         executor=self.config.executor, **budget))
                 _log.info("sweep.start", experiments=len(ids),
                           jobs=self.config.jobs,
-                          executor=self.config.executor)
+                          executor=self.config.executor, **budget)
                 pending: deque[_Task] = deque()
                 for experiment_id in ids:
                     record, result, task = self._try_cache(
@@ -945,11 +979,15 @@ class ExecutionEngine:
             if metrics is not None:
                 record_resource_delta(metrics, sample, scope="task")
             return slot
+        if self._blas_pools is None:
+            self._blas_pools = openblas_pools()
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_run_batch,
             args=(ids, child_conn.send, fault),
-            kwargs={"traced": tracing_enabled(),
+            kwargs={"blas_pools": self._blas_pools,
+                    "blas_threads": self._blas_threads,
+                    "traced": tracing_enabled(),
                     "context": context_fields() or None},
             name=f"repro-engine-{ids[0]}",
             daemon=True,

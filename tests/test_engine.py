@@ -1,5 +1,6 @@
 """The execution engine: scheduler, cache, records, metrics."""
 
+import io
 import itertools
 import json
 import os
@@ -20,9 +21,16 @@ from repro.engine import (
     runner_fingerprint,
 )
 from repro.engine.cache import ensure_dir
+from repro.engine.cpus import cap_blas_threads, openblas_pools, usable_cpus
 from repro.engine.scheduler import WAIT_PHASES
 from repro.errors import ReproError
-from repro.obs import Trace, current_trace, tracing
+from repro.obs import (
+    Trace,
+    configure_logging,
+    current_trace,
+    reset_logging,
+    tracing,
+)
 from repro.reliability import (
     NO_BACKOFF,
     BackoffPolicy,
@@ -415,6 +423,64 @@ def test_default_jobs_honours_repro_workers(monkeypatch):
         default_jobs()
     monkeypatch.delenv("REPRO_WORKERS")
     assert 1 <= default_jobs() <= 4  # capped default for CI machines
+    # Only the CPUs in the affinity mask count (``taskset -c 0``).
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert usable_cpus() == 1
+    assert default_jobs() == 1
+
+
+def _blas_pools():
+    """Thread count of each OpenBLAS build mapped into this process."""
+    return {name: size.value for name, size in openblas_pools()}
+
+
+needs_openblas = pytest.mark.skipif(
+    not openblas_pools(),
+    reason="no OpenBLAS build is mapped into this process")
+
+
+def _blas_probe():
+    """Runner: one long dot product, then the worker's BLAS state."""
+    import numpy as np
+
+    vector = np.ones(10 ** 6)
+    float(np.dot(vector, vector))
+    return {"pools": _blas_pools(),
+            "threads": len(os.listdir("/proc/self/task"))}
+
+
+@needs_openblas
+def test_forked_worker_blas_pools_capped_at_cpu_share(tmp_path,
+                                                      monkeypatch):
+    """At ``jobs = usable CPUs`` each worker's share is one thread: its
+    pools read 1 and the dot product starts no BLAS thread."""
+    _inject(monkeypatch, "E-BLAS", _blas_probe)
+    sweep = run_experiments(["E-BLAS"], config=_config(
+        tmp_path, jobs=usable_cpus(), cache_enabled=False))
+    assert sweep.all_ok
+    probe = sweep.results["E-BLAS"]
+    assert probe["pools"] == {name: 1 for name in _blas_pools()}
+    assert probe["threads"] == 1
+
+
+@needs_openblas
+def test_blas_pools_untouched_without_a_cpu_share_to_give(tmp_path,
+                                                          monkeypatch):
+    """One worker keeps the parent's pools; the inline executor never
+    touches this process's pools; a cap above a pool is a no-op."""
+    _inject(monkeypatch, "E-BLAS", _blas_probe)
+    parent = _blas_pools()
+    single = run_experiments(["E-BLAS"], config=_config(
+        tmp_path, jobs=1, cache_enabled=False))
+    assert single.results["E-BLAS"]["pools"] == parent
+    inline = run_experiments(["E-BLAS"], config=_config(
+        tmp_path, jobs=usable_cpus(), cache_enabled=False,
+        executor="inline"))
+    assert inline.results["E-BLAS"]["pools"] == parent
+    assert cap_blas_threads(openblas_pools(),
+                            max(parent.values()) + 1) == parent
+    assert _blas_pools() == parent
 
 
 def test_chunk_target_policy(tmp_path):
@@ -864,12 +930,21 @@ def test_traced_sweep_records_engine_spans_and_counters(tmp_path):
             "engine.store"} <= names
     assert trace.counters.get("cache.misses") == 1
     assert trace.counters.get("cache.stores") == 1
+    # The inline executor has no worker BLAS budget to report.
+    by_name = {record.name: record for record in trace.spans}
+    assert "blas_threads" not in by_name["engine.sweep"].attributes
+    assert "blas_pools" not in by_name["worker.run"].attributes
 
 
 def test_traced_process_sweep_collects_worker_spans(tmp_path):
-    with tracing(Trace("test-sweep")) as trace:
-        sweep = run_experiments(
-            ["E-T2"], config=_config(tmp_path, cache_enabled=False))
+    log = io.StringIO()
+    configure_logging(stream=log)
+    try:
+        with tracing(Trace("test-sweep")) as trace:
+            sweep = run_experiments(
+                ["E-T2"], config=_config(tmp_path, cache_enabled=False))
+    finally:
+        reset_logging()
     assert sweep.all_ok
     names = {record.name for record in trace.spans}
     assert "worker.run" in names  # shipped back from the child
@@ -877,6 +952,18 @@ def test_traced_process_sweep_collects_worker_spans(tmp_path):
                   if record.name == "worker.run")
     assert worker.pid != os.getpid()
     assert worker.attributes["experiment"] == "E-T2"
+    # The sweep names each worker's BLAS budget, and each worker the
+    # pool sizes it ran with.
+    budget = max(1, usable_cpus() // 2)
+    sweep_span = next(record for record in trace.spans
+                      if record.name == "engine.sweep")
+    assert sweep_span.attributes["blas_threads"] == budget
+    records = [json.loads(line) for line in log.getvalue().splitlines()]
+    start = next(record for record in records
+                 if record["event"] == "sweep.start")
+    assert start["blas_threads"] == budget
+    assert worker.attributes["blas_pools"] == {
+        name: min(size, budget) for name, size in _blas_pools().items()}
 
 
 def test_untraced_sweep_leaves_no_trace_state(tmp_path):

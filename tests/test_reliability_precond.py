@@ -6,8 +6,9 @@ import os
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import LinearOperator, cg
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix, csr_matrix, identity
+from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
 from repro.errors import CalibrationError, ReproError
 from repro.reliability.guard import (
@@ -17,6 +18,7 @@ from repro.reliability.guard import (
     guarded_linear_solve,
 )
 from repro.reliability.precond import (
+    PRECONDITIONER_CACHE,
     PreconditionerCache,
     build_multilevel,
     jacobi_preconditioner,
@@ -287,3 +289,56 @@ def test_solver_reuse_across_guarded_solves():
     assert warm.diagnostics.setup_reused
     assert warm.diagnostics.residual <= 1e-8
     assert np.allclose(warm.x, cold.x / 1.5, rtol=1e-6)
+
+
+# -- AMG-CG against the direct oracle ---------------------------------
+
+
+@st.composite
+def grounded_laplacians(draw):
+    """A grounded SPD graph Laplacian and a right-hand side.
+
+    A rows x cols mesh (300-3,000 nodes) plus up to n/10 random chords,
+    every edge conductance drawn over three decades, and 1-8 nodes tied
+    to ground (the supply pads) through conductances of the same
+    spread.  numpy fills the bulk from a drawn seed.
+    """
+    rows = draw(st.integers(6, 50))
+    cols = draw(st.integers(-(-300 // rows), 3000 // rows))
+    pads = draw(st.integers(1, 8))
+    chord_share = draw(st.floats(0.0, 0.1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = rows * cols
+    grid = np.arange(n).reshape(rows, cols)
+    chords = rng.integers(0, n, size=(2, int(chord_share * n)))
+    chords = chords[:, chords[0] != chords[1]]
+    src = np.concatenate([grid[:, :-1].ravel(), grid[:-1, :].ravel(),
+                          chords[0]])
+    dst = np.concatenate([grid[:, 1:].ravel(), grid[1:, :].ravel(),
+                          chords[1]])
+    g = 10.0 ** rng.uniform(0.0, 3.0, src.size)
+    ground = rng.choice(n, pads, replace=False)
+    g_ground = 10.0 ** rng.uniform(0.0, 3.0, pads)
+    matrix = coo_matrix(
+        (np.concatenate([-g, -g, g, g, g_ground]),
+         (np.concatenate([src, dst, src, dst, ground]),
+          np.concatenate([dst, src, src, dst, ground]))),
+        shape=(n, n)).tocsr()
+    return matrix, rng.standard_normal(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grounded_laplacians())
+def test_amg_cg_agrees_with_direct_solve(system):
+    """Multilevel-preconditioned CG lands within the guard's max-norm
+    rtol of the sparse factorization, on a fresh setup every time."""
+    matrix, rhs = system
+    PRECONDITIONER_CACHE.clear()
+    result = guarded_linear_solve(matrix, rhs, name="precond-property",
+                                  spd=True, preconditioner="amg")
+    assert result.diagnostics.method == "cg"
+    assert result.diagnostics.preconditioner == "amg"
+    assert not result.diagnostics.setup_reused
+    direct = spsolve(matrix.tocsc(), rhs)
+    assert np.max(np.abs(result.x - direct)) \
+        <= 1e-8 * np.max(np.abs(direct))
