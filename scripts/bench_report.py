@@ -27,8 +27,6 @@ import sys
 from pathlib import Path
 
 from repro.bench import (
-    ABS_FLOOR_S,
-    REL_TOL,
     compare_snapshots,
     list_snapshots,
     load_snapshot,
@@ -72,12 +70,6 @@ def main(argv=None):
     parser.add_argument("--dir", type=Path, default=None,
                         help="compare the two newest BENCH_*.json "
                              "snapshots in this directory")
-    parser.add_argument("--rel-tol", type=float, default=REL_TOL,
-                        help="relative regression gate "
-                             "(default: %(default)s)")
-    parser.add_argument("--abs-floor", type=float, default=ABS_FLOOR_S,
-                        help="absolute regression floor in seconds "
-                             "(default: %(default)s)")
     parser.add_argument("--report-only", action="store_true",
                         help="print the comparison but always exit 0")
     args = parser.parse_args(argv)
@@ -111,9 +103,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    comparison = compare_snapshots(baseline, current,
-                                   rel_tol=args.rel_tol,
-                                   abs_floor_s=args.abs_floor)
+    comparison = compare_snapshots(baseline, current)
     print(f"baseline {old_path}\ncurrent  {new_path}\n")
     print(comparison.render())
     if args.report_only:

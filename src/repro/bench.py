@@ -20,11 +20,6 @@ only counts as a regression when the new median exceeds the baseline by
 (:data:`ABS_FLOOR_S`).  Median-of-3 plus the double threshold keeps
 scheduler jitter on sub-100 ms benchmarks from paging anyone, while a
 genuine 2x slowdown on anything measurable still trips the gate.
-
-``slowdown_s`` adds a synthetic per-repeat pad to the *measured* wall
-time (no actual sleeping).  It exists purely so the comparator can be
-exercised end-to-end: inject a pad bigger than both thresholds and the
-comparison must fail.
 """
 
 from __future__ import annotations
@@ -73,10 +68,6 @@ DEFAULT_REPEATS = 3
 #: Where ``repro bench`` reads/writes snapshots unless told otherwise.
 DEFAULT_BASELINE_DIR = Path("benchmarks") / "baselines"
 
-#: Environment override for the synthetic slowdown pad (seconds) --
-#: lets CI prove the comparator trips without patching any code.
-SLOWDOWN_ENV = "REPRO_BENCH_SLOWDOWN_S"
-
 
 def host_fingerprint() -> dict:
     """Enough machine identity to flag cross-host comparisons."""
@@ -86,21 +77,6 @@ def host_fingerprint() -> dict:
         "python": platform.python_version(),
         "cpus": os.cpu_count() or 1,
     }
-
-
-def env_slowdown_s() -> float:
-    """The synthetic pad requested via :data:`SLOWDOWN_ENV` (0 unset)."""
-    raw = os.environ.get(SLOWDOWN_ENV, "").strip()
-    if not raw:
-        return 0.0
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ReproError(
-            f"{SLOWDOWN_ENV}={raw!r} is not a number") from exc
-    if value < 0:
-        raise ReproError(f"{SLOWDOWN_ENV} must be >= 0, got {value}")
-    return value
 
 
 def measure_telemetry_overhead(iterations: int = 1000) -> dict:
@@ -148,8 +124,7 @@ def _histogram_sum(metrics: MetricsRegistry, name: str) -> float:
 
 
 def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
-                   repeats: int = DEFAULT_REPEATS,
-                   slowdown_s: float = 0.0) -> dict:
+                   repeats: int = DEFAULT_REPEATS) -> dict:
     """Run the benchmarks and return a schema-versioned snapshot dict.
 
     Every repeat is a cold inline-engine execution under a fresh trace;
@@ -158,8 +133,6 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
     """
     if repeats < 1:
         raise ReproError(f"repeats must be >= 1, got {repeats}")
-    if slowdown_s < 0:
-        raise ReproError(f"slowdown_s must be >= 0, got {slowdown_s}")
     ids = list(experiment_ids) if experiment_ids else None
     if ids is None:
         from repro.analysis.experiments import EXPERIMENTS
@@ -181,7 +154,7 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
                 raise ReproError(
                     f"benchmark {experiment_id} failed "
                     f"({record.status}): {record.error}")
-            wall_times.append(record.wall_time_s + slowdown_s)
+            wall_times.append(record.wall_time_s)
             solver_iterations += _histogram_sum(
                 trace.metrics, "solver.iterations_per_solve")
             span_count += len(trace)
@@ -202,8 +175,7 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
         "schema": BENCH_SCHEMA,
         "created_at": round_metric(wall_now()),
         "host": host_fingerprint(),
-        "config": {"repeats": repeats,
-                   "slowdown_s": round_metric(slowdown_s)},
+        "config": {"repeats": repeats},
         "telemetry": measure_telemetry_overhead(),
         "benchmarks": benchmarks,
     }
@@ -335,8 +307,6 @@ def load_snapshot(path: Path | str) -> dict:
 class BenchComparison:
     """Outcome of comparing a snapshot against a baseline."""
 
-    rel_tol: float
-    abs_floor_s: float
     rows: list[dict] = field(default_factory=list)
     cross_host: bool = False
     #: The two snapshots ran with different telemetry switches
@@ -387,19 +357,19 @@ class BenchComparison:
         if regressed:
             lines.append(
                 f"REGRESSION: {len(regressed)} benchmark(s) slower "
-                f"than baseline by >{self.rel_tol:.0%} and "
-                f">{self.abs_floor_s:g}s: "
+                f"than baseline by >{REL_TOL:.0%} and "
+                f">{ABS_FLOOR_S:g}s: "
                 + ", ".join(row["id"] for row in regressed))
         else:
             lines.append(f"no regressions ({len(self.rows)} "
-                         f"benchmark(s) within rel {self.rel_tol:.0%} "
-                         f"/ abs {self.abs_floor_s:g}s)")
+                         f"benchmark(s) within rel {REL_TOL:.0%} "
+                         f"/ abs {ABS_FLOOR_S:g}s)")
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
         return {
-            "rel_tol": self.rel_tol,
-            "abs_floor_s": self.abs_floor_s,
+            "rel_tol": REL_TOL,
+            "abs_floor_s": ABS_FLOOR_S,
             "cross_host": self.cross_host,
             "telemetry_mismatch": self.telemetry_mismatch,
             "rows": self.rows,
@@ -408,15 +378,12 @@ class BenchComparison:
 
 
 def compare_snapshots(baseline: Mapping[str, Any],
-                      current: Mapping[str, Any], *,
-                      rel_tol: float = REL_TOL,
-                      abs_floor_s: float = ABS_FLOOR_S
-                      ) -> BenchComparison:
+                      current: Mapping[str, Any]) -> BenchComparison:
     """Noise-aware comparison of ``current`` against ``baseline``.
 
     A benchmark regresses only when its new median exceeds the old by
-    *both* gates: ``new > old * (1 + rel_tol)`` **and**
-    ``new > old + abs_floor_s``.  Benchmarks present on only one side
+    *both* gates: ``new > old * (1 + REL_TOL)`` **and**
+    ``new > old + ABS_FLOOR_S``.  Benchmarks present on only one side
     are reported (``new`` / ``removed``) but never gate.
     """
     old_medians = {entry["id"]: float(entry["median_s"])
@@ -433,11 +400,11 @@ def compare_snapshots(baseline: Mapping[str, Any],
             continue
         delta = new_s - old_s
         ratio = (delta / old_s) if old_s > 0 else None
-        if new_s > old_s * (1.0 + rel_tol) \
-                and new_s > old_s + abs_floor_s:
+        if new_s > old_s * (1.0 + REL_TOL) \
+                and new_s > old_s + ABS_FLOOR_S:
             status = "regression"
-        elif old_s > new_s * (1.0 + rel_tol) \
-                and old_s > new_s + abs_floor_s:
+        elif old_s > new_s * (1.0 + REL_TOL) \
+                and old_s > new_s + ABS_FLOOR_S:
             status = "improved"
         else:
             status = "ok"
@@ -461,8 +428,7 @@ def compare_snapshots(baseline: Mapping[str, Any],
         and isinstance(new_telemetry, dict)
         and any(old_telemetry.get(key) != new_telemetry.get(key)
                 for key in ("tracing", "logging")))
-    return BenchComparison(rel_tol=rel_tol, abs_floor_s=abs_floor_s,
-                           rows=rows, cross_host=cross_host,
+    return BenchComparison(rows=rows, cross_host=cross_host,
                            telemetry_mismatch=telemetry_mismatch)
 
 
@@ -474,9 +440,7 @@ __all__ = [
     "DEFAULT_REPEATS",
     "QUICK_IDS",
     "REL_TOL",
-    "SLOWDOWN_ENV",
     "compare_snapshots",
-    "env_slowdown_s",
     "host_fingerprint",
     "latest_baseline",
     "list_snapshots",

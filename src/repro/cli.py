@@ -23,17 +23,18 @@ Commands
     per-phase breakdown table and counter dump on stdout.  Every span
     of a direct run carries a freshly minted ``trace_id`` (pin it with
     ``--trace-id``).  ``--in artifact.json`` instead loads a previously
-    written trace (either format) and renders it offline; ``--job`` /
-    ``--trace-id`` filter the spans to one job's lanes -- an empty or
-    missing artifact reports "no trace data" and exits 0.
+    written trace (either format) and renders the same breakdown
+    offline; ``--job`` / ``--trace-id`` filter the spans to one job's
+    lanes -- an empty or missing artifact reports "no trace data" and
+    exits 0.
 ``stats [ids...] [--format table|prom|json]``
     Run a sweep with metrics active and report the distributions: a
-    per-family run-latency table plus histogram/gauge summaries
-    (``table``), the Prometheus text exposition format (``prom``), or
-    the full registry summary as JSON (``json``).  ``--in`` renders a
-    saved registry summary (or a json trace artifact's ``metrics``
-    section) offline; empty/missing payloads exit 0 with "no stats
-    data".
+    per-family run-latency table plus histogram, gauge and counter
+    summaries (``table``), the Prometheus text exposition format
+    (``prom``), or the full registry summary as JSON (``json``).
+    ``--in`` renders a saved registry summary (or a json trace
+    artifact's ``metrics`` section) offline with the same tables;
+    empty/missing payloads exit 0 with "no stats data".
 ``top [--url U] [--once] [--interval S] [--iterations N]``
     Render the daemon's metrics history (the ``/metrics/history``
     ring buffer): queue depth, running jobs, verdict counters, RSS
@@ -49,10 +50,7 @@ Commands
     Run the perf-regression benchmark harness: median-of-N cold runs
     per experiment, written as a schema-versioned ``BENCH_*.json``
     snapshot and compared against the newest earlier snapshot in the
-    output directory with a noise-aware threshold.  ``run``,
-    ``run-all`` and ``bench`` accept ``--preconditioner
-    auto|jacobi|amg`` to pin the SPD-solver policy (exported as
-    ``REPRO_PRECONDITIONER`` so pool workers inherit it).
+    output directory with a noise-aware threshold.
 ``serve [--host H] [--port P] [--queue-depth N] ...``
     Run the experiment service daemon: an HTTP/JSON job API with a
     bounded multi-tenant admission queue, dispatcher threads over the
@@ -92,7 +90,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -101,13 +98,10 @@ from typing import Any, Sequence
 from repro.analysis import EXPERIMENTS, run_experiment
 from repro.analysis.report import render_dict_rows, render_table
 from repro.bench import (
-    ABS_FLOOR_S,
     DEFAULT_BASELINE_DIR,
     DEFAULT_REPEATS,
     QUICK_IDS,
-    REL_TOL,
     compare_snapshots,
-    env_slowdown_s,
     latest_baseline,
     load_snapshot,
     run_benchmarks,
@@ -136,13 +130,7 @@ from repro.obs import (
     tracing,
     write_trace,
 )
-from repro.reliability import (
-    BUILTIN_PLANS,
-    PRECONDITIONER_CHOICES,
-    PRECONDITIONER_ENV,
-    load_plan,
-    run_chaos,
-)
+from repro.reliability import BUILTIN_PLANS, load_plan, run_chaos
 from repro.service.chaos import run_service_chaos
 from repro.service import (
     BackpressureError,
@@ -266,23 +254,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
              "else min(4, CPUs))")
 
 
-def _add_preconditioner_argument(
-        parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--preconditioner", choices=PRECONDITIONER_CHOICES,
-        default=None,
-        help="SPD solver preconditioner policy: auto picks jacobi "
-             "below the AMG threshold and the multilevel hierarchy "
-             "above it (default: $REPRO_PRECONDITIONER or auto)")
-
-
-def _apply_preconditioner(args: argparse.Namespace) -> None:
-    """Export ``--preconditioner`` so worker processes inherit it."""
-    choice = getattr(args, "preconditioner", None)
-    if choice:
-        os.environ[PRECONDITIONER_ENV] = choice
-
-
 def _cmd_run_all(args: argparse.Namespace) -> int:
     ids = args.experiment_ids or None
     try:
@@ -384,7 +355,7 @@ def _artifact_spans(payload: Any) -> list[dict]:
 
     A ``json``-format artifact carries a ``spans`` list directly; a
     ``chrome`` artifact's complete (``ph=X``) events are mapped back
-    to span dicts (``dur`` is microseconds there).
+    to span dicts (``ts`` and ``dur`` are microseconds there).
     """
     if not isinstance(payload, (dict, list)):
         return []
@@ -397,8 +368,10 @@ def _artifact_spans(payload: Any) -> list[dict]:
     spans: list[dict] = []
     for event in events if isinstance(events, list) else ():
         if isinstance(event, dict) and event.get("ph") == "X":
+            ts = event.get("ts")
             spans.append({
                 "name": event.get("name", "?"),
+                "start_s": None if ts is None else float(ts) / 1e6,
                 "duration_s": float(event.get("dur") or 0.0) / 1e6,
                 "pid": event.get("pid", 0),
                 "attributes": dict(event.get("args") or {}),
@@ -422,30 +395,6 @@ def _filter_spans(spans: list[dict], job_id: str | None,
             continue
         kept.append(span)
     return kept
-
-
-def _span_dict_breakdown(spans: list[dict],
-                         top: int | None = None) -> list[dict]:
-    """``phase_breakdown`` over plain span dicts (loaded artifacts)."""
-    grouped: dict[str, dict] = {}
-    for span in spans:
-        duration_s = float(span.get("duration_s") or 0.0)
-        row = grouped.setdefault(str(span.get("name", "?")), {
-            "name": str(span.get("name", "?")), "count": 0,
-            "total_s": 0.0, "max_s": 0.0})
-        row["count"] += 1
-        row["total_s"] += duration_s
-        row["max_s"] = max(row["max_s"], duration_s)
-    rows = sorted(grouped.values(),
-                  key=lambda row: (-row["total_s"], row["name"]))
-    if top is not None and top >= 0:
-        rows = rows[:top]
-    grand_total = sum(row["total_s"] for row in grouped.values())
-    for row in rows:
-        row["mean_s"] = row["total_s"] / row["count"]
-        row["share"] = (row["total_s"] / grand_total
-                        if grand_total > 0 else 0.0)
-    return rows
 
 
 def _phase_rows(breakdown: list[dict]) -> list[list[Any]]:
@@ -496,7 +445,7 @@ def _cmd_trace_artifact(args: argparse.Namespace) -> int:
         return EXIT_ALL_OK
     print(render_table(
         _PHASE_HEADERS,
-        _phase_rows(_span_dict_breakdown(filtered, top=args.top))))
+        _phase_rows(phase_breakdown(filtered, top=args.top))))
     print()
     print(_render_span_lanes(filtered))
     print(f"\n{len(filtered)} of {len(spans)} spans from {path}")
@@ -532,15 +481,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     span_dicts = [span.to_json_dict() for span in trace.spans]
     filtered = _filter_spans(span_dicts, args.job, None)
-    if filtered is not span_dicts and len(filtered) != len(span_dicts):
+    if len(filtered) != len(span_dicts):
         print(f"{len(filtered)} of {len(span_dicts)} spans match "
               f"job_id={args.job}")
         print()
-        rows = _phase_rows(_span_dict_breakdown(filtered,
-                                                top=args.top))
-    else:
-        rows = _phase_rows(phase_breakdown(trace, top=args.top))
-    print(render_table(_PHASE_HEADERS, rows))
+    print(render_table(
+        _PHASE_HEADERS,
+        _phase_rows(phase_breakdown(filtered, top=args.top))))
     counters = trace.counters.as_dict()
     if counters:
         print()
@@ -570,64 +517,34 @@ def _series_label(name: str, labels: dict[str, str]) -> str:
     return f"{name}{{{inner}}}"
 
 
-def _stats_tables(trace: Trace) -> str:
-    """The human-readable ``repro stats`` report body."""
-    metrics = trace.metrics
+def _stats_tables(summary: dict) -> str:
+    """The ``repro stats`` table body from a registry summary, live or
+    saved: run latency per experiment family (the ``engine.run_s``
+    series' ``family`` label), then histograms, gauges and counters."""
     sections: list[str] = []
     family_rows = []
     histogram_rows = []
-    for name, labels, histogram in metrics.histograms():
-        summary = histogram.summary()
+    for entry in summary.get("histograms") or []:
+        if not isinstance(entry, dict):
+            continue
+        name = str(entry.get("name", "?"))
+        labels = dict(entry.get("labels") or {})
         if name == "engine.run_s" and "family" in labels:
             family_rows.append([
-                labels["family"], summary["count"],
-                _format_seconds(summary["mean"]),
-                _format_seconds(summary["p50"]),
-                _format_seconds(summary["p90"]),
-                _format_seconds(summary["p99"]),
-                _format_seconds(summary["max"]),
-            ])
+                labels["family"], entry.get("count", 0),
+                *(_format_seconds(entry.get(key))
+                  for key in ("mean", "p50", "p90", "p99", "max"))])
         histogram_rows.append([
-            _series_label(name, labels), summary["count"],
-            "-" if summary["mean"] is None else f"{summary['mean']:.4g}",
-            "-" if summary["p50"] is None else f"{summary['p50']:.4g}",
-            "-" if summary["p99"] is None else f"{summary['p99']:.4g}",
-            "-" if summary["max"] is None else f"{summary['max']:.4g}",
+            _series_label(name, labels), entry.get("count", 0),
+            *("-" if entry.get(key) is None
+              else f"{float(entry[key]):.4g}"
+              for key in ("mean", "p50", "p99", "max")),
         ])
     if family_rows:
         sections.append("run latency by experiment family:")
         sections.append(render_table(
             ["family", "runs", "mean [s]", "p50 [s]", "p90 [s]",
              "p99 [s]", "max [s]"], sorted(family_rows)))
-    if histogram_rows:
-        sections.append("histograms:")
-        sections.append(render_table(
-            ["series", "count", "mean", "p50", "p99", "max"],
-            histogram_rows))
-    gauges = metrics.gauges()
-    if gauges:
-        sections.append("gauges:")
-        sections.append(render_table(
-            ["gauge", "value"],
-            [[name, f"{value:g}"] for name, value in gauges.items()]))
-    return "\n\n".join(sections)
-
-
-def _summary_stats_tables(summary: dict) -> str:
-    """The ``repro stats`` table body from a saved registry summary."""
-    sections: list[str] = []
-    histogram_rows = []
-    for entry in summary.get("histograms") or []:
-        if not isinstance(entry, dict):
-            continue
-        histogram_rows.append([
-            _series_label(str(entry.get("name", "?")),
-                          dict(entry.get("labels") or {})),
-            entry.get("count", 0),
-            *("-" if entry.get(key) is None
-              else f"{float(entry[key]):.4g}"
-              for key in ("mean", "p50", "p99", "max")),
-        ])
     if histogram_rows:
         sections.append("histograms:")
         sections.append(render_table(
@@ -676,7 +593,7 @@ def _cmd_stats_artifact(args: argparse.Namespace) -> int:
     elif args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
-        print(_summary_stats_tables(summary))
+        print(_stats_tables(summary))
     return EXIT_ALL_OK
 
 
@@ -708,7 +625,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(json.dumps(registry_summary(trace.metrics), indent=2,
                          sort_keys=True))
     else:
-        print(_stats_tables(trace))
+        print(_stats_tables(registry_summary(trace.metrics)))
         print()
         print(sweep.metrics.render())
     return _sweep_exit_code(sweep)
@@ -717,21 +634,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     ids = args.experiment_ids or (list(QUICK_IDS) if args.quick
                                   else None)
-    try:
-        slowdown = (args.slowdown if args.slowdown is not None
-                    else env_slowdown_s())
-        if slowdown < 0:
-            raise ReproError(f"--slowdown must be >= 0, "
-                             f"got {slowdown}")
-        if args.repeats < 1:
-            raise ReproError(f"--repeats must be >= 1, "
-                             f"got {args.repeats}")
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.repeats < 1:
+        print(f"error: --repeats must be >= 1, got {args.repeats}",
+              file=sys.stderr)
         return 2
     try:
-        snapshot = run_benchmarks(ids, repeats=args.repeats,
-                                  slowdown_s=slowdown)
+        snapshot = run_benchmarks(ids, repeats=args.repeats)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -741,9 +649,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     path = write_snapshot(snapshot, out_dir)
     comparison = None
     if baseline_path is not None:
-        comparison = compare_snapshots(
-            load_snapshot(baseline_path), snapshot,
-            rel_tol=args.rel_tol, abs_floor_s=args.abs_floor)
+        comparison = compare_snapshots(load_snapshot(baseline_path),
+                                       snapshot)
     if args.json:
         payload = {"snapshot_path": str(path), "snapshot": snapshot}
         if comparison is not None:
@@ -1095,13 +1002,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     subparsers.add_parser("list", help="list experiments")
     run_parser = subparsers.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment_id", choices=sorted(EXPERIMENTS))
-    _add_preconditioner_argument(run_parser)
     run_all = subparsers.add_parser(
         "run-all", help="run many experiments through the engine")
     run_all.add_argument("experiment_ids", nargs="*", metavar="id",
                          help="experiment ids (default: all)")
     _add_jobs_argument(run_all)
-    _add_preconditioner_argument(run_all)
     run_all.add_argument("--no-cache", action="store_true",
                          help="bypass the result cache")
     run_all.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
@@ -1225,22 +1130,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                             f"BENCH_*.json there is the comparison "
                             f"baseline (default: "
                             f"{DEFAULT_BASELINE_DIR})")
-    bench.add_argument("--rel-tol", type=float, default=REL_TOL,
-                       help="relative regression gate "
-                            "(default: %(default)s)")
-    bench.add_argument("--abs-floor", type=float, default=ABS_FLOOR_S,
-                       help="absolute regression floor in seconds "
-                            "(default: %(default)s)")
-    bench.add_argument("--slowdown", type=float, default=None,
-                       metavar="S",
-                       help="synthetic per-run slowdown pad in "
-                            "seconds, for exercising the comparator "
-                            "(default: $REPRO_BENCH_SLOWDOWN_S or 0)")
     bench.add_argument("--no-compare", action="store_true",
                        help="write the snapshot without comparing")
     bench.add_argument("--json", action="store_true",
                        help="emit the snapshot + comparison as JSON")
-    _add_preconditioner_argument(bench)
     top = subparsers.add_parser(
         "top", help="render the daemon's metrics history")
     top.add_argument("--url", default=DEFAULT_SERVICE_URL,
@@ -1293,7 +1186,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                                 default=120.0,
                                 help="per-experiment timeout in "
                                      "seconds")
-    _add_preconditioner_argument(profile_parser)
     serve = subparsers.add_parser(
         "serve", help="run the experiment service daemon")
     serve.add_argument("--host", default="127.0.0.1",
@@ -1468,7 +1360,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     subparsers.add_parser("roadmap", help="print the ITRS roadmap")
 
     args = parser.parse_args(argv)
-    _apply_preconditioner(args)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

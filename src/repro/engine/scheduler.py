@@ -218,22 +218,16 @@ class EngineConfig:
     retries: int = 0
     cache_enabled: bool = True
     cache_dir: Path = field(default_factory=lambda: DEFAULT_CACHE_DIR)
-    journal_path: Path | None = None
     executor: str = EXECUTOR_PROCESS
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     fault_plan: FaultPlan | None = None
-    #: Lease in-flight cache entries so concurrent sweeps over the
-    #: same cache directory never compute the same key twice: the
+    #: In-flight cache entries are leased so concurrent sweeps over
+    #: the same cache directory never compute the same key twice: the
     #: claim loser polls for the winner's stored result instead of
     #: launching a worker.  Claims are advisory and TTL-bounded --
     #: a crashed claimant's lease goes stale and is broken.
-    claim_results: bool = True
     claim_ttl_s: float = DEFAULT_CLAIM_TTL_S
     claim_poll_s: float = 0.05
-    #: Install SIGINT/SIGTERM handlers (main thread only) that drain
-    #: in-flight tasks, cancel pending ones, and flush the journal
-    #: instead of tearing the pool down mid-batch.
-    handle_signals: bool = True
     #: Optional no-arg callable invoked whenever the sweep makes
     #: genuine progress (a task finishes, a cache hit lands).  The
     #: service daemon points this at the job's heartbeat so its
@@ -263,9 +257,7 @@ class EngineConfig:
 
     @property
     def effective_journal_path(self) -> Path | None:
-        """Explicit journal path, else the cache's journal, else none."""
-        if self.journal_path is not None:
-            return Path(self.journal_path)
+        """The cache's journal, or none when the cache is off."""
         if self.cache_enabled:
             return Path(self.cache_dir) / "journal.jsonl"
         return None
@@ -557,9 +549,7 @@ class ExecutionEngine:
         is stored, pending tasks become ``cancelled`` records, and the
         journal is flushed on the normal exit path.
         """
-        if (not self.config.handle_signals
-                or threading.current_thread()
-                is not threading.main_thread()):
+        if threading.current_thread() is not threading.main_thread():
             return lambda: None
         previous = []
         for sig in DRAIN_SIGNALS:
@@ -704,8 +694,7 @@ class ExecutionEngine:
     # -- claims (cross-process in-flight dedup) -----------------------
 
     def _claims_enabled(self, task: _Task) -> bool:
-        return (self.cache is not None and self.config.claim_results
-                and task.fingerprint is not None)
+        return self.cache is not None and task.fingerprint is not None
 
     def _release_claim(self, task: _Task) -> None:
         if task.claimed and self.cache is not None \

@@ -11,9 +11,10 @@ Two on-disk formats:
   and the raw span list) for scripted consumption without a trace
   viewer.
 
-:func:`phase_breakdown` is the aggregation behind the ``repro trace``
-table: spans grouped by name with count / total / mean / max and the
-share of the traced wall interval, sorted by total time descending.
+:func:`phase_breakdown` is the aggregation behind every ``repro trace``
+table, live or from an artifact: spans grouped by name with count /
+total / mean / max and the share of the wall interval they cover,
+sorted by total time descending.
 :func:`validate_chrome_trace` is the malformed-trace gate used by CI.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.obs.metrics import registry_summary, round_metric
 from repro.obs.trace import SpanRecord, Trace
@@ -64,32 +65,44 @@ def to_chrome_events(trace: Trace) -> list[dict]:
     return events
 
 
-def phase_breakdown(trace: Trace,
+def phase_breakdown(spans: Trace | Iterable[dict],
                     top: int | None = None) -> list[dict]:
     """Aggregate spans by name into per-phase timing rows.
 
-    Each row: ``{"name", "count", "total_s", "mean_s", "max_s",
-    "share"}`` where ``share`` is the phase's total over the traced
-    wall interval (concurrent spans can push the column sum past 1.0;
+    ``spans`` is a live :class:`Trace` or span dicts as a trace
+    artifact stores them (``name``, ``duration_s`` and, for the wall
+    interval, ``start_s``).  Each row: ``{"name", "count", "total_s",
+    "mean_s", "max_s", "share"}`` where ``share`` is the phase's total
+    over the wall interval the given spans cover, earliest start to
+    latest end (concurrent spans can push the column sum past 1.0;
     that is parallelism, not an accounting error).
     """
-    duration_s = trace.duration_s
+    if isinstance(spans, Trace):
+        spans = [{"name": span.name, "start_s": span.start_s,
+                  "duration_s": span.duration_s}
+                 for span in spans.spans]
     grouped: dict[str, dict] = {}
-    for span in trace.spans:
-        row = grouped.setdefault(span.name, {
-            "name": span.name, "count": 0, "total_s": 0.0,
-            "max_s": 0.0})
+    starts: list[float] = []
+    ends: list[float] = []
+    for span in spans:
+        name = str(span.get("name", "?"))
+        duration_s = float(span.get("duration_s") or 0.0)
+        row = grouped.setdefault(name, {
+            "name": name, "count": 0, "total_s": 0.0, "max_s": 0.0})
         row["count"] += 1
-        row["total_s"] += span.duration_s
-        row["max_s"] = max(row["max_s"], span.duration_s)
+        row["total_s"] += duration_s
+        row["max_s"] = max(row["max_s"], duration_s)
+        if span.get("start_s") is not None:
+            starts.append(float(span["start_s"]))
+            ends.append(starts[-1] + duration_s)
+    wall_s = max(ends) - min(starts) if starts else 0.0
     rows = sorted(grouped.values(),
                   key=lambda row: (-row["total_s"], row["name"]))
     if top is not None and top >= 0:
         rows = rows[:top]
     for row in rows:
         row["mean_s"] = row["total_s"] / row["count"]
-        row["share"] = (row["total_s"] / duration_s
-                        if duration_s > 0 else 0.0)
+        row["share"] = row["total_s"] / wall_s if wall_s > 0 else 0.0
     return rows
 
 

@@ -69,8 +69,7 @@ def _strip_laplacian(n_interior: int, conductance: float) -> csr_matrix:
 
 def _solve_strip_drops(current_per_m: float, sheet_resistance: float,
                        width_m: float, span_m: float, n_segments: int,
-                       *, solver: str, name: str,
-                       preconditioner: str | None = None):
+                       *, solver: str, name: str):
     """Drop profile of one uniformly loaded rail between two bumps.
 
     Returns the full :class:`~repro.reliability.guard.GuardedSolution`
@@ -87,8 +86,7 @@ def _solve_strip_drops(current_per_m: float, sheet_resistance: float,
     add_counter("pdn.unknowns", n_interior)
     observe("pdn.system_unknowns", n_interior, COUNT_BUCKETS,
             solver=solver)
-    return guarded_linear_solve(matrix, rhs, name=name, spd=True,
-                                preconditioner=preconditioner)
+    return guarded_linear_solve(matrix, rhs, name=name, spd=True)
 
 
 def solve_rail_strip(current_per_m: float, sheet_resistance: float,
@@ -176,9 +174,7 @@ def _mesh_laplacian(n_side: int, rails_per_pitch: int,
 def solve_power_grid_2d(current_density_a_m2: float,
                         sheet_resistance: float, width_m: float,
                         bump_pitch_m: float, rails_per_pitch: int = 4,
-                        cells: int = 2,
-                        preconditioner: str | None = None
-                        ) -> GridSolution:
+                        cells: int = 2) -> GridSolution:
     """Solve a 2-D power mesh patch with bumps on a regular grid.
 
     ``rails_per_pitch`` rails (each ``width_m`` wide) run in each
@@ -205,7 +201,7 @@ def solve_power_grid_2d(current_density_a_m2: float,
         solution = _solve_strip_drops(
             current_density_a_m2 * bump_pitch_m, sheet_resistance,
             width_m, bump_pitch_m, 200, solver="grid-2d",
-            name="pdn-grid-2d", preconditioner=preconditioner)
+            name="pdn-grid-2d")
         drops = solution.x
         return GridSolution(
             worst_drop_v=float(np.max(drops)),
@@ -232,8 +228,7 @@ def solve_power_grid_2d(current_density_a_m2: float,
     observe("pdn.system_unknowns", n_unknown, COUNT_BUCKETS,
             solver="grid-2d")
     solution = guarded_linear_solve(matrix, rhs, name="pdn-grid-2d",
-                                    spd=True,
-                                    preconditioner=preconditioner)
+                                    spd=True)
     drops = solution.x
     return GridSolution(
         worst_drop_v=float(np.max(drops)),

@@ -50,9 +50,6 @@ from repro.reliability.guard import (
     FALLBACK_DIRECT,
     FALLBACK_RELAXATION,
     PRECONDITIONER_AMG,
-    PRECONDITIONER_AUTO,
-    PRECONDITIONER_CHOICES,
-    PRECONDITIONER_ENV,
     PRECONDITIONER_JACOBI,
     GuardedRoot,
     GuardedSolution,
@@ -95,10 +92,7 @@ __all__ = [
     "MultilevelPreconditioner",
     "NO_BACKOFF",
     "PRECONDITIONER_AMG",
-    "PRECONDITIONER_AUTO",
     "PRECONDITIONER_CACHE",
-    "PRECONDITIONER_CHOICES",
-    "PRECONDITIONER_ENV",
     "PRECONDITIONER_JACOBI",
     "PreconditionerCache",
     "SolveDiagnostics",

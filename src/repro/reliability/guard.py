@@ -25,7 +25,6 @@ iteration stalls.  This module wraps them with one contract:
 from __future__ import annotations
 
 import math
-import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from repro.errors import CalibrationError, ReproError
+from repro.errors import CalibrationError
 from repro.obs import (
     COUNT_BUCKETS,
     DURATION_BUCKETS,
@@ -53,13 +52,17 @@ FALLBACK_RELAXATION = "relaxation"
 FALLBACK_DENSE = "dense"
 FALLBACK_DIRECT = "direct"
 
+#: Relative max-norm residual every guarded linear solve must meet.
+LINEAR_RTOL = 1e-8
+
 #: Below this many unknowns a direct factorization beats CG setup cost,
 #: so the ``spd=True`` path skips straight to ``spsolve``.
 CG_MIN_UNKNOWNS = 256
 
-#: ``auto`` ladder threshold: below this many unknowns Jacobi-CG
+#: Preconditioner ladder threshold: below this many unknowns Jacobi-CG
 #: converges in affordable O(sqrt(n)) iterations; at or above it the
-#: multilevel setup cost pays for itself within a single solve.
+#: multilevel setup cost pays for itself within a single solve.  Read
+#: at call time, so a test can lower it to force the multilevel rung.
 AMG_MIN_UNKNOWNS = 32768
 
 #: Iteration budget for multilevel-preconditioned CG.  The V-cycle
@@ -72,33 +75,15 @@ AMG_MAX_ITERATIONS = 300
 #: mesh-like operators.  This factor sets the safety margin above it.
 CG_NOISE_FLOOR_FACTOR = 50.0
 
-#: Memory cap for the dense fallback: ``n^2 * 8`` bytes must stay
-#: under this bound (512 MiB -> n <= ~8192) regardless of the caller's
-#: ``dense_fallback_max``, so a failed sparse solve on a huge system
-#: degrades to a structured error instead of an OOM kill.
+#: Dense fallback limits: at most this many unknowns *and* ``n^2 * 8``
+#: bytes under the byte cap (512 MiB -> n <= ~8192), so a failed
+#: sparse solve on a huge system degrades to a structured error
+#: instead of an OOM kill.
+DENSE_FALLBACK_MAX = 20000
 DENSE_FALLBACK_MAX_BYTES = 512 * 1024 * 1024
 
-PRECONDITIONER_AUTO = "auto"
 PRECONDITIONER_JACOBI = "jacobi"
 PRECONDITIONER_AMG = "amg"
-PRECONDITIONER_CHOICES = (PRECONDITIONER_AUTO, PRECONDITIONER_JACOBI,
-                          PRECONDITIONER_AMG)
-
-#: Environment override for the default preconditioner policy --
-#: the CLI ``--preconditioner`` knob sets this for child workers too.
-PRECONDITIONER_ENV = "REPRO_PRECONDITIONER"
-
-
-def _default_preconditioner() -> str:
-    """The :data:`PRECONDITIONER_ENV` policy; unset or empty is auto."""
-    value = os.environ.get(PRECONDITIONER_ENV, "").strip().lower()
-    if not value:
-        return PRECONDITIONER_AUTO
-    if value not in PRECONDITIONER_CHOICES:
-        raise ReproError(
-            f"{PRECONDITIONER_ENV} must be one of "
-            f"{', '.join(PRECONDITIONER_CHOICES)}, got {value!r}")
-    return value
 
 
 def _observe_solve(kind: str, iterations: int, residual: float | None,
@@ -342,51 +327,37 @@ def _guarded_solve(residual: Callable[[float], float], lo: float,
 
 
 def guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
-                         rtol: float = 1e-8,
-                         dense_fallback_max: int = 20000,
-                         spd: bool = False,
-                         cg_min_unknowns: int = CG_MIN_UNKNOWNS,
-                         preconditioner: str | None = None
-                         ) -> GuardedSolution:
+                         spd: bool = False) -> GuardedSolution:
     """Solve a sparse linear system with validation and fallbacks.
 
     With ``spd=True`` the caller asserts the matrix is symmetric
-    positive definite, and systems of at least ``cg_min_unknowns``
+    positive definite, and systems of at least :data:`CG_MIN_UNKNOWNS`
     unknowns are solved by preconditioned conjugate gradients first --
     the scaling path for large Laplacians, whose iteration count and
     residual land in the ``solver.iterations_per_solve`` /
     ``solver.residual`` histograms like every other guarded solve.
-    ``preconditioner`` picks the rung: ``"auto"`` (default; Jacobi
-    below :data:`AMG_MIN_UNKNOWNS`, smoothed-aggregation multilevel at
-    or above it), ``"jacobi"``, or ``"amg"``; ``None`` reads the
-    :data:`PRECONDITIONER_ENV` environment override (the CLI
-    ``--preconditioner`` knob).  Multilevel setups are reused across
-    solves that share a sparsity fingerprint, and setup vs iteration
-    time lands in the ``solver.setup_s`` / ``solver.solve_s``
-    histograms.  A CG breakdown or missed tolerance falls back to the
-    direct factorization (``fallback="direct"`` in the diagnostics),
-    so the iterative path can never *weaken* the guarantee.
+    The system size picks the preconditioner: Jacobi below
+    :data:`AMG_MIN_UNKNOWNS` unknowns, smoothed-aggregation multilevel
+    at or above it.  Multilevel setups are reused across solves that
+    share a sparsity fingerprint, and setup vs iteration time lands in
+    the ``solver.setup_s`` / ``solver.solve_s`` histograms.  A CG
+    breakdown or missed tolerance falls back to the direct
+    factorization (``fallback="direct"`` in the diagnostics), so the
+    iterative path can never *weaken* the guarantee.
 
     The sparse factorization (``scipy.sparse.linalg.spsolve``) is the
     primary strategy otherwise; if it raises, or the solution carries
-    NaN/Inf, or the relative residual exceeds ``rtol``, one dense
-    (``numpy.linalg.solve``) attempt is made for systems up to
-    ``dense_fallback_max`` unknowns *and* at most
+    NaN/Inf, or the relative residual exceeds :data:`LINEAR_RTOL`, one
+    dense (``numpy.linalg.solve``) attempt is made for systems up to
+    :data:`DENSE_FALLBACK_MAX` unknowns *and* at most
     :data:`DENSE_FALLBACK_MAX_BYTES` of dense storage.  Failures raise
     :class:`~repro.errors.CalibrationError` with the residual achieved.
     """
-    if preconditioner is None:
-        preconditioner = _default_preconditioner()
-    if preconditioner not in PRECONDITIONER_CHOICES:
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
     with span(f"solve.{name}", kind="linear") as solve_span:
         add_counter("solver.solves")
         try:
-            result = _guarded_linear_solve(
-                matrix, rhs, name=name, rtol=rtol,
-                dense_fallback_max=dense_fallback_max, spd=spd,
-                cg_min_unknowns=cg_min_unknowns,
-                preconditioner=preconditioner)
+            result = _guarded_linear_solve(matrix, rhs, name=name,
+                                           spd=spd)
         except CalibrationError as exc:
             add_counter("solver.failures")
             add_counter("solver.iterations", exc.iterations or 0)
@@ -433,14 +404,6 @@ def _cg_tolerance(rtol: float, n: int) -> float:
     return max(rtol * 1e-2, floor)
 
 
-def _resolve_preconditioner(kind: str, n: int) -> str:
-    """Collapse ``auto`` onto the concrete ladder rung for ``n``."""
-    if kind == PRECONDITIONER_AUTO:
-        return PRECONDITIONER_AMG if n >= AMG_MIN_UNKNOWNS \
-            else PRECONDITIONER_JACOBI
-    return kind
-
-
 @dataclass(frozen=True)
 class _CGAttempt:
     """Outcome of one preconditioned-CG attempt."""
@@ -453,28 +416,29 @@ class _CGAttempt:
     solve_s: float
 
 
-def _try_cg(sparse: Any, rhs: np.ndarray, *, rtol: float,
-            preconditioner: str,
+def _try_cg(sparse: Any, rhs: np.ndarray,
             rel_residual: Callable[[np.ndarray], float]) -> _CGAttempt:
     """One preconditioned CG attempt; ``x=None`` on a miss.
 
-    The preconditioner ladder: ``amg`` builds (or reuses from the
-    fingerprint cache) a multilevel hierarchy whose V-cycle keeps the
-    iteration count mesh-size-independent; ``jacobi`` scales as
-    ``O(sqrt(n))`` iterations.  The iteration budget matches the
-    preconditioner -- a small constant for ``amg``, ``8 sqrt(n) + 100``
-    for ``jacobi`` -- so a genuinely ill-conditioned
-    system falls through to the factorization quickly instead of
-    spinning.
+    The preconditioner ladder: at or above :data:`AMG_MIN_UNKNOWNS`
+    unknowns, ``amg`` builds (or reuses from the fingerprint cache) a
+    multilevel hierarchy whose V-cycle keeps the iteration count
+    mesh-size-independent, degrading to ``jacobi`` when the matrix
+    cannot be coarsened; below it, ``jacobi`` scales as ``O(sqrt(n))``
+    iterations.  The iteration budget matches the preconditioner -- a
+    small constant for ``amg``, ``8 sqrt(n) + 100`` for ``jacobi`` --
+    so a genuinely ill-conditioned system falls through to the
+    factorization quickly instead of spinning.
     """
     from scipy.sparse.linalg import LinearOperator, cg
 
     n = int(rhs.size)
     setup_start = time.monotonic()
-    applied = preconditioner
+    applied = PRECONDITIONER_JACOBI
     setup_reused = False
     operator = None
-    if preconditioner == PRECONDITIONER_AMG:
+    if n >= AMG_MIN_UNKNOWNS:
+        applied = PRECONDITIONER_AMG
         built, setup_reused, _ = PRECONDITIONER_CACHE.get_or_build(
             sparse)
         if built is None:  # cannot coarsen: degrade one rung
@@ -505,7 +469,7 @@ def _try_cg(sparse: Any, rhs: np.ndarray, *, rtol: float,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             x, info = cg(sparse, rhs,
-                         rtol=_cg_tolerance(rtol, n), atol=0.0,
+                         rtol=_cg_tolerance(LINEAR_RTOL, n), atol=0.0,
                          maxiter=budget, M=operator, callback=count)
     except Exception:
         return _CGAttempt(None, iterations, applied, setup_reused,
@@ -513,7 +477,7 @@ def _try_cg(sparse: Any, rhs: np.ndarray, *, rtol: float,
     solve_s = time.monotonic() - solve_start
     x = np.asarray(x, dtype=float)
     if info == 0 and np.all(np.isfinite(x)) \
-            and rel_residual(x) <= rtol:
+            and rel_residual(x) <= LINEAR_RTOL:
         return _CGAttempt(x, iterations, applied, setup_reused,
                           setup_s, solve_s)
     return _CGAttempt(None, iterations, applied, setup_reused,
@@ -521,9 +485,7 @@ def _try_cg(sparse: Any, rhs: np.ndarray, *, rtol: float,
 
 
 def _guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
-                          rtol: float, dense_fallback_max: int,
-                          spd: bool, cg_min_unknowns: int,
-                          preconditioner: str) -> GuardedSolution:
+                          spd: bool) -> GuardedSolution:
     from scipy.sparse.linalg import spsolve
 
     rhs = np.asarray(rhs, dtype=float)
@@ -544,11 +506,9 @@ def _guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
 
     cg_attempted = False
     cg_iterations = 0
-    if spd and rhs.size >= cg_min_unknowns and hasattr(sparse, "diagonal"):
+    if spd and rhs.size >= CG_MIN_UNKNOWNS and hasattr(sparse, "diagonal"):
         cg_attempted = True
-        kind = _resolve_preconditioner(preconditioner, int(rhs.size))
-        attempt = _try_cg(sparse, rhs, rtol=rtol, preconditioner=kind,
-                          rel_residual=rel_residual)
+        attempt = _try_cg(sparse, rhs, rel_residual)
         cg_iterations = attempt.iterations
         if attempt.x is not None:
             return GuardedSolution(attempt.x, SolveDiagnostics(
@@ -564,7 +524,7 @@ def _guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
             warnings.simplefilter("ignore")
             x = spsolve(sparse, rhs)
         x = np.asarray(x, dtype=float)
-        if np.all(np.isfinite(x)) and rel_residual(x) <= rtol:
+        if np.all(np.isfinite(x)) and rel_residual(x) <= LINEAR_RTOL:
             return GuardedSolution(x, SolveDiagnostics(
                 name=name, method="spsolve",
                 iterations=cg_iterations + 1,
@@ -578,7 +538,7 @@ def _guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
     # kill into a structured CalibrationError.
     residual = None
     dense_bytes = int(rhs.size) * int(rhs.size) * 8
-    if rhs.size <= dense_fallback_max \
+    if rhs.size <= DENSE_FALLBACK_MAX \
             and dense_bytes <= DENSE_FALLBACK_MAX_BYTES:
         fallback_used = FALLBACK_DENSE
         try:
@@ -587,7 +547,7 @@ def _guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
             x = np.linalg.solve(dense, rhs)
             if np.all(np.isfinite(x)):
                 residual = rel_residual(x)
-                if residual <= rtol:
+                if residual <= LINEAR_RTOL:
                     return GuardedSolution(x, SolveDiagnostics(
                         name=name, method="spsolve",
                         iterations=cg_iterations + 2,

@@ -15,8 +15,9 @@ multi-tenant service.  Architecture, front to back:
   each through a fresh :class:`~repro.engine.scheduler.ExecutionEngine`
   against the **shared result store**, so a job resubmitted by any
   tenant is served from cache and two jobs racing on one key settle it
-  via claim files, not duplicate computation.  Engines run with
-  ``handle_signals=False``: the daemon owns signal policy.
+  via claim files, not duplicate computation.  Engines run on these
+  threads, so they install no signal handlers (an engine does so only
+  on the main thread): the daemon owns signal policy.
 * **Shutdown** -- SIGINT/SIGTERM (or ``POST /v1/shutdown``) stops
   admission (503), cancels queued jobs, drains in-flight ones, prunes
   the store to its configured bounds, writes the service trace
@@ -64,11 +65,14 @@ from repro.obs import (
     activate,
     add_counter,
     configure_logging,
+    current_log_path,
+    current_trace,
     deactivate,
     get_logger,
     new_trace_id,
     observe,
     registry_summary,
+    reset_logging,
     sample_resources,
     span,
     to_prometheus,
@@ -229,17 +233,23 @@ class ExperimentService:
     # -- lifecycle ----------------------------------------------------
 
     def start(self) -> None:
-        log_path = (Path(self.config.log_path)
-                    if self.config.log_path is not None
-                    else Path(self.config.cache_dir) / "service"
-                    / "service.log.jsonl")
-        configure_logging(log_path, level=self.config.log_level)
+        """Install telemetry, recover the WAL, start the threads.
+
+        A failed recovery (an unreadable WAL) leaves no process-global
+        telemetry behind: the trace is deactivated and the log sink
+        dropped before the error propagates.
+        """
+        configure_logging(self._log_path, level=self.config.log_level)
         activate(self.trace)
         self._log.info("service.start",
                        dispatchers=self.config.dispatchers,
                        executor=self.config.executor,
-                       log_path=str(log_path))
-        self._recover()
+                       log_path=str(self._log_path))
+        try:
+            self._recover()
+        except BaseException:
+            self._release_telemetry()
+            raise
         for index in range(self.config.dispatchers):
             thread = threading.Thread(
                 target=self._dispatch_loop,
@@ -271,7 +281,7 @@ class ExperimentService:
         self.prune_store()
         self.wal.compact(self._wal_entries(),
                          keep_terminal=self.config.wal_keep_terminal)
-        deactivate()
+        self._release_telemetry()
         if self.config.trace_out is not None:
             try:
                 write_trace(self.trace, self.config.trace_out,
@@ -282,6 +292,20 @@ class ExperimentService:
     @property
     def draining(self) -> bool:
         return self._draining.is_set()
+
+    @property
+    def _log_path(self) -> Path:
+        if self.config.log_path is not None:
+            return Path(self.config.log_path)
+        return Path(self.config.cache_dir) / "service" / "service.log.jsonl"
+
+    def _release_telemetry(self) -> None:
+        """Deactivate this daemon's trace and drop its log sink, each
+        only while it is still the process-wide one."""
+        if current_trace() is self.trace:
+            deactivate()
+        if current_log_path() == self._log_path:
+            reset_logging()
 
     # -- metrics history ----------------------------------------------
 
@@ -556,7 +580,6 @@ class ExperimentService:
             cache_enabled=spec.use_cache,
             cache_dir=Path(self.config.cache_dir),
             executor=self.config.executor,
-            handle_signals=False,  # worker thread; daemon owns signals
             progress=progress,
             trace_context={"trace_id": spec.trace_id,
                            "job_id": job.id, "tenant": spec.tenant},

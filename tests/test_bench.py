@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro.bench import (
+    ABS_FLOOR_S,
     BENCH_SCHEMA,
     QUICK_IDS,
+    REL_TOL,
     compare_snapshots,
-    env_slowdown_s,
     host_fingerprint,
     latest_baseline,
     list_snapshots,
@@ -60,17 +61,9 @@ def test_run_benchmarks_produces_valid_snapshot():
     assert json.loads(json.dumps(snapshot)) == snapshot
 
 
-def test_run_benchmarks_slowdown_pads_measurements():
-    snapshot = run_benchmarks(["E-F1"], repeats=1, slowdown_s=2.0)
-    assert snapshot["benchmarks"][0]["median_s"] > 2.0
-    assert snapshot["config"]["slowdown_s"] == 2
-
-
 def test_run_benchmarks_rejects_bad_arguments():
     with pytest.raises(ReproError):
         run_benchmarks(["E-F1"], repeats=0)
-    with pytest.raises(ReproError):
-        run_benchmarks(["E-F1"], repeats=1, slowdown_s=-1.0)
     with pytest.raises(ReproError):
         run_benchmarks(["E-NOPE"], repeats=1)
 
@@ -78,19 +71,6 @@ def test_run_benchmarks_rejects_bad_arguments():
 def test_quick_subset_ids_exist():
     from repro.analysis import EXPERIMENTS
     assert set(QUICK_IDS) <= set(EXPERIMENTS)
-
-
-def test_env_slowdown_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_SLOWDOWN_S", raising=False)
-    assert env_slowdown_s() == 0.0
-    monkeypatch.setenv("REPRO_BENCH_SLOWDOWN_S", "0.25")
-    assert env_slowdown_s() == 0.25
-    monkeypatch.setenv("REPRO_BENCH_SLOWDOWN_S", "lots")
-    with pytest.raises(ReproError):
-        env_slowdown_s()
-    monkeypatch.setenv("REPRO_BENCH_SLOWDOWN_S", "-1")
-    with pytest.raises(ReproError):
-        env_slowdown_s()
 
 
 # -- schema -----------------------------------------------------------
@@ -148,8 +128,7 @@ def test_compare_requires_both_gates_to_trip():
     # fast: 10x slower but under the absolute floor -> not a regression
     # slow: +40% which clears the floor but not the relative gate
     current = _snapshot({"fast": 0.020, "slow": 1.4})
-    comparison = compare_snapshots(baseline, current,
-                                   rel_tol=0.5, abs_floor_s=0.05)
+    comparison = compare_snapshots(baseline, current)
     assert comparison.exit_code == 0
     assert {row["id"]: row["status"] for row in comparison.rows} \
         == {"fast": "ok", "slow": "ok"}
@@ -158,8 +137,7 @@ def test_compare_requires_both_gates_to_trip():
 def test_compare_flags_true_regressions_and_improvements():
     baseline = _snapshot({"slow": 1.0, "better": 2.0, "same": 0.5})
     current = _snapshot({"slow": 2.0, "better": 1.0, "same": 0.5})
-    comparison = compare_snapshots(baseline, current,
-                                   rel_tol=0.5, abs_floor_s=0.05)
+    comparison = compare_snapshots(baseline, current)
     statuses = {row["id"]: row["status"] for row in comparison.rows}
     assert statuses == {"slow": "regression", "better": "improved",
                         "same": "ok"}
@@ -168,6 +146,9 @@ def test_compare_flags_true_regressions_and_improvements():
     rendered = comparison.render()
     assert "REGRESSION" in rendered and "slow" in rendered
     assert comparison.to_json_dict()["regressions"] == ["slow"]
+    # the fixed gate thresholds still travel with every comparison
+    assert comparison.to_json_dict()["rel_tol"] == REL_TOL
+    assert comparison.to_json_dict()["abs_floor_s"] == ABS_FLOOR_S
 
 
 def test_compare_reports_added_and_removed_benchmarks():

@@ -318,6 +318,78 @@ def test_trace_in_filters_spans_by_job_and_trace_id(capsys,
     assert "3 spans total" in out
 
 
+def _phase_table(out):
+    """``{name: (count, total_s, share %)}`` from a printed breakdown."""
+    rows = {}
+    for line in out.split("\n\n")[0].splitlines()[2:]:
+        name, count, total, _mean, _max, share = line.split()
+        rows[name] = (int(count), float(total), float(share.rstrip("%")))
+    return rows
+
+
+def test_trace_live_and_offline_breakdowns_agree(capsys, tmp_path,
+                                                 monkeypatch):
+    """One traced sweep, exported in both formats: the live table and
+    ``--in`` on either artifact show the same rows, shares included
+    (each is a phase's total over the wall interval of the spans)."""
+    import repro.cli as cli
+    from repro.obs import write_trace
+
+    chrome = tmp_path / "trace.chrome.json"
+
+    def write_both(trace, path, format):
+        write_trace(trace, chrome, format="chrome")
+        return write_trace(trace, path, format=format)
+
+    monkeypatch.setattr(cli, "write_trace", write_both)
+    artifact = tmp_path / "trace.json"
+    assert main(["trace", "--format", "json", "--jobs", "2",
+                 "--no-cache", "--cache-dir", str(tmp_path / "cache"),
+                 "--out", str(artifact), "E-T1", "E-T2"]) == 0
+    live = _phase_table(capsys.readouterr().out)
+    assert "engine.sweep" in live
+    for path in (artifact, chrome):
+        assert main(["trace", "--in", str(path)]) == 0
+        offline = _phase_table(capsys.readouterr().out)
+        assert list(offline) == list(live)
+        for name, (count, total_s, share) in live.items():
+            assert offline[name][0] == count
+            assert offline[name][1] == pytest.approx(total_s, abs=1.01e-4)
+            assert offline[name][2] == pytest.approx(share, abs=0.11)
+
+
+def test_stats_live_and_offline_tables_agree(capsys, tmp_path,
+                                             monkeypatch):
+    """The live table and ``--in`` on the same sweep's registry
+    summary print the same text, apart from the sweep footer."""
+    import repro.cli as cli
+    from repro.obs import registry_summary
+
+    traces = []
+
+    class RecordingTrace(cli.Trace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            traces.append(self)
+
+    monkeypatch.setattr(cli, "Trace", RecordingTrace)
+    assert main(["stats", "--jobs", "1", "--no-cache",
+                 "--cache-dir", str(tmp_path / "cache"),
+                 "E-T2", "E-F1"]) == 0
+    live = capsys.readouterr().out
+    summary = tmp_path / "stats.json"
+    summary.write_text(json.dumps(registry_summary(traces[0].metrics),
+                                  indent=2, sort_keys=True),
+                       encoding="utf-8")
+    assert main(["stats", "--in", str(summary)]) == 0
+    offline = capsys.readouterr().out
+    assert "run latency by experiment family" in offline
+    assert "counters:" in offline
+    assert live.startswith(offline)
+    footer = live[len(offline):]
+    assert footer.startswith("\n") and "2 total: 2 ok" in footer
+
+
 def test_stats_in_missing_artifact_is_no_data_exit_0(capsys,
                                                      tmp_path):
     assert main(["stats", "--in", str(tmp_path / "absent.json")]) == 0
@@ -490,12 +562,30 @@ def test_bench_second_run_compares_clean(capsys, tmp_path):
     assert "no regressions" in out
 
 
-def test_bench_synthetic_slowdown_trips_the_gate(capsys, tmp_path):
+def _slow_down(monkeypatch, experiment_id, delay_s=0.2):
+    """Swap in a runner that sleeps ``delay_s`` before the real one."""
+    import time
+
+    experiment = EXPERIMENTS[experiment_id]
+
+    def slow_runner():
+        time.sleep(delay_s)
+        return experiment.runner()
+
+    monkeypatch.setitem(
+        EXPERIMENTS, experiment_id,
+        Experiment(experiment_id, experiment.description,
+                   experiment.paper_artifact, slow_runner))
+
+
+def test_bench_synthetic_slowdown_trips_the_gate(capsys, tmp_path,
+                                                 monkeypatch):
     out_dir = str(tmp_path / "baselines")
     base = ["bench", "--repeats", "1", "--out-dir", out_dir, "E-F1"]
     assert main(base) == 0
     capsys.readouterr()
-    code = main(base + ["--slowdown", "0.5"])
+    _slow_down(monkeypatch, "E-F1")
+    code = main(base)
     assert code == 1
     out = capsys.readouterr().out
     assert "REGRESSION" in out and "E-F1" in out
@@ -507,13 +597,12 @@ def test_bench_env_slowdown_and_json_output(capsys, tmp_path,
     assert main(["bench", "--repeats", "1", "--out-dir", out_dir,
                  "E-F1"]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("REPRO_BENCH_SLOWDOWN_S", "0.5")
+    _slow_down(monkeypatch, "E-F1")
     code = main(["bench", "--repeats", "1", "--out-dir", out_dir,
                  "--json", "E-F1"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["comparison"]["regressions"] == ["E-F1"]
-    assert payload["snapshot"]["config"]["slowdown_s"] == 0.5
 
 
 def test_bench_quick_flag_uses_quick_subset(capsys, tmp_path):
@@ -530,8 +619,6 @@ def test_bench_quick_flag_uses_quick_subset(capsys, tmp_path):
 def test_bench_usage_errors_exit_2(capsys, tmp_path):
     assert main(["bench", "--repeats", "0", "--out-dir",
                  str(tmp_path), "E-F1"]) == 2
-    assert main(["bench", "--slowdown", "-1", "--out-dir",
-                 str(tmp_path), "E-F1"]) == 2
 
 
 def test_bench_failing_experiment_exits_3(capsys, tmp_path,
@@ -546,6 +633,25 @@ def test_bench_failing_experiment_exits_3(capsys, tmp_path,
                  "--out-dir", str(tmp_path / "baselines"), "E-T1"])
     assert code == 3
     assert "bench failure" in capsys.readouterr().err
+
+
+def test_serve_unreadable_wal_exits_2_and_releases_telemetry(
+        capsys, tmp_path, monkeypatch):
+    """A WAL path that cannot be read fails ``repro serve`` with a
+    usage error, leaves the WAL untouched, and leaves no active trace
+    or log sink behind in the process."""
+    from repro.obs import current_trace, logging_configured
+
+    monkeypatch.delenv("REPRO_LOG_PATH", raising=False)
+    store = tmp_path / "store"
+    wal = store / "service" / "wal.jsonl"
+    wal.mkdir(parents=True)
+    assert main(["serve", "--port", "0", "--cache-dir",
+                 str(store)]) == 2
+    assert "error: cannot read job WAL" in capsys.readouterr().err
+    assert current_trace() is None
+    assert not logging_configured()
+    assert wal.is_dir() and not any(wal.iterdir())
 
 
 # -- cache command ----------------------------------------------------

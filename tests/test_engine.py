@@ -582,6 +582,7 @@ def test_timeout_kills_worker_despite_parent_signal_state(
     the SIGKILL fallback, and the signal reaches the parent's loop."""
     import signal
     import socket
+    import threading
 
     def hanging_runner():
         time.sleep(60)
@@ -593,12 +594,19 @@ def test_timeout_kills_worker_despite_parent_signal_state(
     previous_fd = signal.set_wakeup_fd(writer.fileno())
     previous_handler = signal.signal(signal.SIGTERM,
                                      lambda signum, frame: None)
+    swept = []
     try:
+        # Off the main thread, as ``repro serve`` runs sweeps: the
+        # engine leaves the parent's signal state alone there.
+        sweeper = threading.Thread(target=lambda: swept.append(
+            run_experiments(["E-HANG"],
+                            config=_config(tmp_path, timeout_s=0.5))))
         start = time.monotonic()
-        sweep = run_experiments(
-            ["E-HANG"], config=_config(tmp_path, timeout_s=0.5,
-                                       handle_signals=False))
+        sweeper.start()
+        sweeper.join(timeout=30.0)
         elapsed = time.monotonic() - start
+        assert not sweeper.is_alive()
+        sweep = swept[0]
         with pytest.raises(BlockingIOError):
             reader.recv(1)  # no signal byte reached the socket
     finally:
@@ -1100,24 +1108,6 @@ def test_expired_claim_ttl_lets_the_waiter_take_over(
     assert sweep.records[0].status == "ok"
     assert calls == [1]  # the stale lease was broken, the task ran
     assert not cache.claim_path("E-T1", fingerprint).exists()
-
-
-def test_claims_disabled_skips_lease_protocol(tmp_path, monkeypatch):
-    from repro.engine import ResultCache, runner_fingerprint
-
-    def runner():
-        return 5
-
-    _inject(monkeypatch, "E-T1", runner)
-    fingerprint = runner_fingerprint("E-T1", runner)
-    cache = ResultCache(tmp_path / "cache")
-    cache.claim("E-T1", fingerprint)  # a foreign claim to ignore
-
-    config = _config(tmp_path, jobs=1, executor="inline",
-                     claim_results=False)
-    sweep = ExecutionEngine(config).run(["E-T1"])
-    assert sweep.records[0].status == "ok"
-    assert sweep.results["E-T1"] == 5  # ran straight through
 
 
 # -- graceful shutdown ------------------------------------------------

@@ -140,7 +140,6 @@ def test_trace_id_survives_process_pool_workers(tmp_path):
     config = EngineConfig(jobs=2, executor="process",
                           cache_enabled=False,
                           cache_dir=tmp_path / "cache",
-                          handle_signals=False,
                           trace_context={"trace_id": "tid-pool"})
     with tracing(trace):
         sweep = run_experiments(["E-T1", "E-T2"], config=config)

@@ -178,12 +178,19 @@ class TestSolverDiagnostics:
         assert grid.preconditioner == "jacobi"  # auto, below threshold
         assert grid.solver_iterations > 0
 
-    def test_preconditioner_knob_passes_through(self):
-        auto = solve_power_grid_2d(1e6, 0.1, 1e-6, 80e-6,
-                                   rails_per_pitch=4, cells=4)
+    def test_amg_and_jacobi_rungs_agree(self, monkeypatch):
+        # The size picks the rung; lowering the threshold forces the
+        # multilevel one onto the same small mesh.
+        from repro.reliability import guard
+
+        jacobi = solve_power_grid_2d(1e6, 0.1, 1e-6, 80e-6,
+                                     rails_per_pitch=4, cells=4)
+        monkeypatch.setattr(guard, "AMG_MIN_UNKNOWNS", 0)
         amg = solve_power_grid_2d(1e6, 0.1, 1e-6, 80e-6,
-                                  rails_per_pitch=4, cells=4,
-                                  preconditioner="amg")
+                                  rails_per_pitch=4, cells=4)
+        assert jacobi.preconditioner == "jacobi"
         assert amg.preconditioner == "amg"
-        assert amg.worst_drop_v == pytest.approx(auto.worst_drop_v,
+        assert amg.worst_drop_v == pytest.approx(jacobi.worst_drop_v,
                                                  rel=1e-6)
+        assert amg.mean_drop_v == pytest.approx(jacobi.mean_drop_v,
+                                                rel=1e-6)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix, csr_matrix, identity
 from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
-from repro.errors import CalibrationError, ReproError
+from repro.errors import CalibrationError
+from repro.reliability import guard
 from repro.reliability.guard import (
     AMG_MIN_UNKNOWNS,
     DENSE_FALLBACK_MAX_BYTES,
@@ -229,35 +230,6 @@ def test_auto_ladder_picks_jacobi_below_threshold():
     assert result.diagnostics.preconditioner == "jacobi"
 
 
-def test_preconditioner_env_override(monkeypatch):
-    matrix = _mesh(8, 4)
-    rhs = np.ones(matrix.shape[0])
-    monkeypatch.setenv("REPRO_PRECONDITIONER", "amg")
-    result = guarded_linear_solve(matrix, rhs, name="precond-env",
-                                  spd=True)
-    assert result.diagnostics.preconditioner == "amg"
-
-
-def test_unknown_preconditioner_rejected():
-    matrix = _mesh(8, 4)
-    rhs = np.ones(matrix.shape[0])
-    with pytest.raises(ValueError):
-        guarded_linear_solve(matrix, rhs, name="precond-bad",
-                             spd=True, preconditioner="cholesky")
-
-
-@pytest.mark.parametrize("value", ["none", "amgg"])
-def test_unknown_preconditioner_env_rejected(monkeypatch, value):
-    """A typo, or the removed ``none`` rung, is an error naming the
-    allowed values instead of a silent fall back to ``auto``."""
-    matrix = _mesh(8, 4)
-    rhs = np.ones(matrix.shape[0])
-    monkeypatch.setenv("REPRO_PRECONDITIONER", value)
-    with pytest.raises(ReproError, match="auto, jacobi, amg"):
-        guarded_linear_solve(matrix, rhs, name="precond-env-bad",
-                             spd=True)
-
-
 def test_dense_fallback_is_memory_capped():
     # A singular system one row past the dense memory cap: the old
     # policy allocated an n^2 dense matrix (OOM-prone at scale); the
@@ -266,8 +238,7 @@ def test_dense_fallback_is_memory_capped():
     singular = csr_matrix((n, n))
     with pytest.raises(CalibrationError) as excinfo:
         guarded_linear_solve(singular, np.ones(n),
-                             name="precond-dense-cap",
-                             dense_fallback_max=n + 1)
+                             name="precond-dense-cap")
     assert excinfo.value.fallback is None  # dense never attempted
 
 
@@ -280,11 +251,11 @@ def test_solver_reuse_across_guarded_solves():
     matrix = _mesh(16, 16)
     rhs = np.full(matrix.shape[0], 2e-3)
     cold = guarded_linear_solve(matrix, rhs, name="precond-reuse",
-                                spd=True, preconditioner="amg")
+                                spd=True)
     rescaled = matrix.copy()
     rescaled.data = rescaled.data * 1.5
     warm = guarded_linear_solve(rescaled, rhs, name="precond-reuse",
-                                spd=True, preconditioner="amg")
+                                spd=True)
     assert not cold.diagnostics.setup_reused
     assert warm.diagnostics.setup_reused
     assert warm.diagnostics.residual <= 1e-8
@@ -334,8 +305,10 @@ def test_amg_cg_agrees_with_direct_solve(system):
     rtol of the sparse factorization, on a fresh setup every time."""
     matrix, rhs = system
     PRECONDITIONER_CACHE.clear()
-    result = guarded_linear_solve(matrix, rhs, name="precond-property",
-                                  spd=True, preconditioner="amg")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(guard, "AMG_MIN_UNKNOWNS", 0)
+        result = guarded_linear_solve(matrix, rhs,
+                                      name="precond-property", spd=True)
     assert result.diagnostics.method == "cg"
     assert result.diagnostics.preconditioner == "amg"
     assert not result.diagnostics.setup_reused

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import os
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from repro.analysis.experiments import EXPERIMENTS, Experiment
 from repro.engine.cache import CLAIM_SUFFIX, ResultCache
 from repro.errors import ReproError
-from repro.obs import deactivate
+from repro.engine import EngineConfig, run_experiments
+from repro.obs import current_trace, logging_configured
 from repro.reliability.backoff import BackoffPolicy
 from repro.service import (
     ExperimentService,
@@ -108,10 +110,36 @@ def test_unreadable_wal_fails_start_and_is_not_overwritten(
         with pytest.raises(ReproError, match="cannot read job WAL"):
             revived.start()
     finally:
-        deactivate()
         monkeypatch.undo()
     assert revived.jobs == {}
     assert wal_path.read_bytes() == before
+
+
+def test_failed_start_leaves_no_telemetry_behind(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_LOG_PATH", raising=False)
+    _wal(tmp_path).path.mkdir(parents=True)  # unreadable as a file
+    service = _service(tmp_path)
+    with pytest.raises(ReproError, match="cannot read job WAL"):
+        service.start()
+    assert current_trace() is None
+    assert not logging_configured()
+
+
+def test_stop_drops_the_log_sink(tmp_path, monkeypatch):
+    """A stopped daemon's log sink must not outlive it: a later sweep
+    in the same process writes no records under the old store."""
+    monkeypatch.delenv("REPRO_LOG_PATH", raising=False)
+    service = _service(tmp_path)
+    service.start()
+    assert logging_configured()
+    service.stop()
+    assert current_trace() is None
+    assert not logging_configured()
+    shutil.rmtree(tmp_path / "store")
+    sweep = run_experiments(["E-T1"], config=EngineConfig(
+        executor="inline", cache_enabled=False))
+    assert sweep.all_ok
+    assert not (tmp_path / "store").exists()
 
 
 def test_recover_requeues_orphan_with_bounded_attempts(tmp_path):

@@ -133,7 +133,7 @@ def _race_participant(cache_dir, barrier, out_queue):
         RACE_ID, "contended test experiment", "(test)", _race_runner)
     config = EngineConfig(jobs=1, executor="inline",
                           cache_dir=cache_dir, timeout_s=30.0,
-                          claim_poll_s=0.02, handle_signals=False)
+                          claim_poll_s=0.02)
     barrier.wait()  # line both sweeps up on the same key
     sweep = ExecutionEngine(config).run([RACE_ID])
     record = sweep.records[0]
