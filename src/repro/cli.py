@@ -825,7 +825,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     try:
         signalled = run_service(config)
-    except ReproError as exc:  # e.g. a job WAL that cannot be read
+    except ReproError as exc:  # a busy port, an unreadable job WAL
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("repro service stopped"

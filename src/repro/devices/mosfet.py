@@ -62,6 +62,34 @@ VTH_TEMPERATURE_COEFF_V_PER_K = 0.4e-3
 _MIN_OVERDRIVE_V = 1e-4
 
 
+def subthreshold_swing_mv(temperature_k: float = 300.0) -> float:
+    """Subthreshold swing at the given temperature [mV/decade].
+
+    85 mV/decade at 300 K (the paper's assumption), scaling linearly
+    with absolute temperature as kT/q does.
+    """
+    if temperature_k <= 0:
+        raise ModelParameterError("temperature must be positive")
+    return SUBTHRESHOLD_SWING_300K_MV * temperature_k / 300.0
+
+
+def subthreshold_ioff_na_um(vth_v: float,
+                            temperature_k: float = 300.0) -> float:
+    """The temperature terms of Eq. (4) at a drain-biased Vth [nA/um].
+
+    ``vth_v`` already carries the DIBL shift for the drain bias, so a
+    caller that fixes device and bias (the chip leakage chain of
+    :mod:`repro.power.static`) works it out once and evaluates only
+    this per temperature.  :meth:`MosfetModel.ioff_na_um` is this plus
+    the DIBL shift.
+    """
+    swing_v = subthreshold_swing_mv(temperature_k) * 1e-3
+    effective_vth = (vth_v
+                     - VTH_TEMPERATURE_COEFF_V_PER_K * (temperature_k - 300.0))
+    ioff_ua = IOFF_PREFACTOR_UA_UM * 10.0 ** (-effective_vth / swing_v)
+    return ioff_ua * 1e3  # uA/um -> nA/um
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Physical parameters of one NMOS technology (a "model card").
@@ -186,14 +214,8 @@ class MosfetModel:
     # --- Eq. (4): subthreshold leakage -------------------------------------
 
     def subthreshold_swing_mv(self, temperature_k: float = 300.0) -> float:
-        """Subthreshold swing at the given temperature [mV/decade].
-
-        85 mV/decade at 300 K (the paper's assumption), scaling linearly
-        with absolute temperature as kT/q does.
-        """
-        if temperature_k <= 0:
-            raise ModelParameterError("temperature must be positive")
-        return SUBTHRESHOLD_SWING_300K_MV * temperature_k / 300.0
+        """Subthreshold swing at the given temperature [mV/decade]."""
+        return subthreshold_swing_mv(temperature_k)
 
     def ioff_na_um(self, vdd_v: float | None = None,
                    vth_v: float | None = None,
@@ -207,13 +229,9 @@ class MosfetModel:
         vth = self.params.vth_v if vth_v is None else vth_v
         if vdd < 0:
             raise ModelParameterError("Vdd cannot be negative")
-        swing_v = self.subthreshold_swing_mv(temperature_k) * 1e-3
-        effective_vth = (vth
-                         - self.params.dibl_v_per_v * (vdd - self.params.vdd_v)
-                         - VTH_TEMPERATURE_COEFF_V_PER_K
-                         * (temperature_k - 300.0))
-        ioff_ua = IOFF_PREFACTOR_UA_UM * 10.0 ** (-effective_vth / swing_v)
-        return ioff_ua * 1e3  # uA/um -> nA/um
+        return subthreshold_ioff_na_um(
+            vth - self.params.dibl_v_per_v * (vdd - self.params.vdd_v),
+            temperature_k)
 
     # --- convenience -------------------------------------------------------
 

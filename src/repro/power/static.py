@@ -12,7 +12,9 @@ numbers.
 
 from __future__ import annotations
 
-from repro.devices.mosfet import MosfetModel
+import functools
+
+from repro.devices.mosfet import DeviceParams, subthreshold_ioff_na_um
 from repro.devices.params import device_for_node
 from repro.errors import ModelParameterError
 from repro.itrs import ITRS_2000
@@ -35,6 +37,17 @@ def total_device_width_m(node_nm: int) -> float:
     return density * record.die_area_m2
 
 
+@functools.cache
+def _chip_constants(node_nm: int) -> tuple[DeviceParams, float]:
+    """The node's model card and total device width [m], built once.
+
+    Both derive from immutable roadmap and calibration tables, so the
+    leakage chain below evaluates only the temperature terms of Eq. (4)
+    per call.
+    """
+    return device_for_node(node_nm), total_device_width_m(node_nm)
+
+
 def standby_current_a(node_nm: int, vth_v: float | None = None,
                       temperature_k: float = 300.0,
                       off_fraction: float = 0.5) -> float:
@@ -45,17 +58,18 @@ def standby_current_a(node_nm: int, vth_v: float | None = None,
     """
     if not 0.0 < off_fraction <= 1.0:
         raise ModelParameterError("off_fraction must lie in (0, 1]")
-    device = device_for_node(node_nm)
-    model = MosfetModel(device)
-    ioff_a_per_m = model.ioff_na_um(vth_v=vth_v,
-                                    temperature_k=temperature_k) * 1e-3
-    return ioff_a_per_m * total_device_width_m(node_nm) * off_fraction
+    device, width_m = _chip_constants(node_nm)
+    # The chip runs at the card's own Vdd, where the DIBL shift of
+    # MosfetModel.ioff_na_um is exactly zero.
+    ioff_na_um = subthreshold_ioff_na_um(
+        device.vth_v if vth_v is None else vth_v, temperature_k)
+    return ioff_na_um * 1e-3 * width_m * off_fraction
 
 
 def chip_static_power_w(node_nm: int, vth_v: float | None = None,
                         temperature_k: float = 300.0) -> float:
     """Chip static power Vdd * Istandby [W]."""
-    device = device_for_node(node_nm)
+    device, _ = _chip_constants(node_nm)
     return device.vdd_v * standby_current_a(node_nm, vth_v, temperature_k)
 
 

@@ -75,11 +75,9 @@ AMG_MAX_ITERATIONS = 300
 #: mesh-like operators.  This factor sets the safety margin above it.
 CG_NOISE_FLOOR_FACTOR = 50.0
 
-#: Dense fallback limits: at most this many unknowns *and* ``n^2 * 8``
-#: bytes under the byte cap (512 MiB -> n <= ~8192), so a failed
-#: sparse solve on a huge system degrades to a structured error
-#: instead of an OOM kill.
-DENSE_FALLBACK_MAX = 20000
+#: Dense fallback limit: ``n^2 * 8`` bytes of dense matrix at most
+#: (512 MiB -> n <= 8192), so a failed sparse solve on a huge system
+#: degrades to a structured error instead of an OOM kill.
 DENSE_FALLBACK_MAX_BYTES = 512 * 1024 * 1024
 
 PRECONDITIONER_JACOBI = "jacobi"
@@ -348,9 +346,8 @@ def guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
     The sparse factorization (``scipy.sparse.linalg.spsolve``) is the
     primary strategy otherwise; if it raises, or the solution carries
     NaN/Inf, or the relative residual exceeds :data:`LINEAR_RTOL`, one
-    dense (``numpy.linalg.solve``) attempt is made for systems up to
-    :data:`DENSE_FALLBACK_MAX` unknowns *and* at most
-    :data:`DENSE_FALLBACK_MAX_BYTES` of dense storage.  Failures raise
+    dense (``numpy.linalg.solve``) attempt is made for systems whose
+    dense matrix fits :data:`DENSE_FALLBACK_MAX_BYTES`.  Failures raise
     :class:`~repro.errors.CalibrationError` with the residual achieved.
     """
     with span(f"solve.{name}", kind="linear") as solve_span:
@@ -538,8 +535,7 @@ def _guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
     # kill into a structured CalibrationError.
     residual = None
     dense_bytes = int(rhs.size) * int(rhs.size) * 8
-    if rhs.size <= DENSE_FALLBACK_MAX \
-            and dense_bytes <= DENSE_FALLBACK_MAX_BYTES:
+    if dense_bytes <= DENSE_FALLBACK_MAX_BYTES:
         fallback_used = FALLBACK_DENSE
         try:
             dense = (matrix.toarray() if hasattr(matrix, "toarray")

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 import threading
 import time
@@ -816,11 +817,31 @@ class ServiceServer:
     # -- lifecycle ----------------------------------------------------
 
     async def start(self) -> None:
+        """Bind, start the service, then accept connections.
+
+        The bind comes first, so a port that cannot be bound leaves
+        nothing to undo: no telemetry, threads or log records.
+        """
         config = self.service.config
-        self.service.start()
-        self._server = await asyncio.start_server(
-            self._handle, config.host, config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        try:
+            server = await asyncio.start_server(
+                self._handle, config.host, config.port,
+                start_serving=False)
+        except OSError as exc:
+            # asyncio words a failed bind at length; name the errno
+            reason = (os.strerror(exc.errno) if (exc.errno or 0) > 0
+                      else exc.strerror or str(exc))
+            raise ReproError(f"cannot listen on {config.host}:"
+                             f"{config.port}: {reason}") from exc
+        try:
+            self.service.start()
+        except BaseException:
+            server.close()
+            await server.wait_closed()
+            raise
+        self._server = server
+        self.port = server.sockets[0].getsockname()[1]
+        await server.start_serving()
 
     async def serve_forever(self) -> None:
         """Run until a drain signal or shutdown request arrives."""
@@ -1085,6 +1106,7 @@ class ServiceServer:
             with job.lock:
                 fresh = [event for event in job.events
                          if event["seq"] >= sent]
+                terminal = job.terminal
             for event in fresh:
                 writer.write(
                     (json.dumps(json_safe(event), sort_keys=True)
@@ -1095,7 +1117,7 @@ class ServiceServer:
                 await writer.drain()
             except (ConnectionError, OSError):
                 return
-            if not follow or job.terminal:
+            if not follow or terminal:
                 return
             await asyncio.sleep(0.05)
 

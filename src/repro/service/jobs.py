@@ -309,12 +309,17 @@ class Job:
     def add_event(self, kind: str, **data: Any) -> dict:
         """Record one lifecycle/progress event (thread-safe)."""
         with self.lock:
-            event = {"seq": len(self.events), "ts": wall_now(),
-                     "event": kind, "job": self.id, **data}
-            if self.spec.trace_id is not None:
-                event.setdefault("trace_id", self.spec.trace_id)
-            self.events.append(event)
+            event = self._keep_event(kind, data)
         self.event_log.append(event)
+        return event
+
+    def _keep_event(self, kind: str, data: dict) -> dict:
+        """Append one event to ``events``; the caller holds ``lock``."""
+        event = {"seq": len(self.events), "ts": wall_now(),
+                 "event": kind, "job": self.id, **data}
+        if self.spec.trace_id is not None:
+            event.setdefault("trace_id", self.spec.trace_id)
+        self.events.append(event)
         return event
 
     @property
@@ -322,9 +327,20 @@ class Job:
         return self.state in TERMINAL_STATES
 
     def transition(self, state: str, **data: Any) -> None:
-        """Move to ``state`` and log the transition event."""
+        """Move to ``state`` and log the transition event.
+
+        The WAL record is written first, so no client sees a state the
+        journal does not hold yet.  The state, its timestamp and its
+        event then change in one ``lock`` hold, so whoever sees a
+        terminal state also sees the terminal event.
+        """
         if state not in JOB_STATES:
             raise ReproError(f"unknown job state {state!r}")
+        if self.wal is not None:
+            self.wal.log_state(
+                self.id, state, reason=data.get("reason", self.reason),
+                error=data.get("error", self.error),
+                recovery_attempts=self.recovery_attempts)
         with self.lock:
             self.state = state
             if state == JOB_RUNNING:
@@ -333,12 +349,8 @@ class Job:
                 self.finished_at = wall_now()
             if "reason" in data:
                 self.reason = data["reason"]
-        if self.wal is not None:
-            self.wal.log_state(
-                self.id, state, reason=self.reason,
-                error=data.get("error", self.error),
-                recovery_attempts=self.recovery_attempts)
-        self.add_event(state, **data)
+            event = self._keep_event(state, data)
+        self.event_log.append(event)
 
     def queue_wait_s(self) -> float | None:
         if self.started_at is None:

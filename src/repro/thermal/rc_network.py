@@ -11,11 +11,21 @@ Integration is explicit Euler with an automatic sub-stepping rule that
 keeps the step below a fraction of the fastest *stage* time constant
 C_i / g_i, where g_i sums every conductance touching the stage (its
 outward resistance plus, for interior stages, the upstream one).
+
+``step`` is called once per control interval, tens of thousands of
+times per sweep, so it keeps a sub-step plan (count, length and stage
+R and C) per ``dt`` and stage list instead of re-deriving it. The plan
+is rebuilt when either changes. The three-stage stack that
+:func:`default_thermal_network` builds advances as an unrolled update;
+other stage counts use a plain loop. Both use the same operation order,
+``T + (inflow - out) * sub_dt / C``, so every result is bit-identical
+to the list-based sub-step loop the tests keep as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ModelParameterError
 from repro.itrs.packaging import AMBIENT_C
@@ -42,6 +52,20 @@ class ThermalStage:
             )
 
 
+class _SubStepPlan(NamedTuple):
+    """The Euler sub-steps of one ``step`` interval on one stage list."""
+
+    #: The interval the plan was made for (matched by identity, so an
+    #: equal value of another numeric type gets a plan of its own).
+    dt_s: float
+    #: Copy of the stage list the plan was made from.
+    stages: list[ThermalStage]
+    n_sub: int
+    sub_dt: float
+    resistances: tuple[float, ...]
+    capacities: tuple[float, ...]
+
+
 class ThermalNetwork:
     """A chain of :class:`ThermalStage` between junction and ambient."""
 
@@ -52,6 +76,7 @@ class ThermalNetwork:
         self.stages = list(stages)
         self.t_ambient_c = t_ambient_c
         self.temperatures_c = [t_ambient_c] * len(stages)
+        self._plan: _SubStepPlan | None = None
 
     @property
     def theta_ja(self) -> float:
@@ -103,6 +128,16 @@ class ThermalNetwork:
             fastest = min(fastest, stage.capacity_j_per_k / conductance)
         return fastest
 
+    def _sub_step_plan(self, dt_s: float) -> _SubStepPlan:
+        """Sub-step count, length and stage constants for ``dt_s``."""
+        max_sub = _EULER_MARGIN * self._min_stage_time_s()
+        n_sub = max(1, int(dt_s / max_sub) + 1)
+        stages = list(self.stages)
+        return _SubStepPlan(
+            dt_s=dt_s, stages=stages, n_sub=n_sub, sub_dt=dt_s / n_sub,
+            resistances=tuple(stage.resistance_c_per_w for stage in stages),
+            capacities=tuple(stage.capacity_j_per_k for stage in stages))
+
     def step(self, power_w: float, dt_s: float) -> float:
         """Advance the network by ``dt_s`` with power injected at stage 0.
 
@@ -112,25 +147,35 @@ class ThermalNetwork:
             raise ModelParameterError("power cannot be negative")
         if dt_s <= 0:
             raise ModelParameterError("time step must be positive")
-        max_sub = _EULER_MARGIN * self._min_stage_time_s()
-        n_sub = max(1, int(dt_s / max_sub) + 1)
-        sub_dt = dt_s / n_sub
-        n_stages = len(self.stages)
+        plan = self._plan
+        if plan is None or plan.dt_s is not dt_s \
+                or plan.stages != self.stages:
+            plan = self._plan = self._sub_step_plan(dt_s)
+        n_sub, sub_dt, t_amb = plan.n_sub, plan.sub_dt, self.t_ambient_c
+        temps = self.temperatures_c
+        if len(plan.stages) == 3:  # default_thermal_network's stack
+            r0, r1, r2 = plan.resistances
+            c0, c1, c2 = plan.capacities
+            t0, t1, t2 = temps[0], temps[1], temps[2]
+            for _ in range(n_sub):
+                f0 = (t0 - t1) / r0
+                f1 = (t1 - t2) / r1
+                f2 = (t2 - t_amb) / r2
+                t0 = t0 + (power_w - f0) * sub_dt / c0
+                t1 = t1 + (f0 - f1) * sub_dt / c1
+                t2 = t2 + (f1 - f2) * sub_dt / c2
+            self.temperatures_c = [t0, t1, t2]
+            return t0
+        resistances, capacities = plan.resistances, plan.capacities
+        last = len(resistances) - 1
         for _ in range(n_sub):
-            temps = self.temperatures_c
-            flows_out = []
-            for index, stage in enumerate(self.stages):
-                downstream_t = (temps[index + 1] if index + 1 < n_stages
-                                else self.t_ambient_c)
-                flows_out.append((temps[index] - downstream_t)
-                                 / stage.resistance_c_per_w)
-            new_temps = []
-            for index, stage in enumerate(self.stages):
-                inflow = power_w if index == 0 else flows_out[index - 1]
-                delta = (inflow - flows_out[index]) * sub_dt \
-                    / stage.capacity_j_per_k
-                new_temps.append(temps[index] + delta)
-            self.temperatures_c = new_temps
+            flows_out = [(temps[i] - (temps[i + 1] if i < last else t_amb))
+                         / resistance
+                         for i, resistance in enumerate(resistances)]
+            temps = [temps[i] + ((power_w if i == 0 else flows_out[i - 1])
+                                 - flows_out[i]) * sub_dt / capacity
+                     for i, capacity in enumerate(capacities)]
+        self.temperatures_c = temps
         return self.junction_c
 
 

@@ -654,6 +654,32 @@ def test_serve_unreadable_wal_exits_2_and_releases_telemetry(
     assert wal.is_dir() and not any(wal.iterdir())
 
 
+def test_serve_busy_port_exits_2_before_starting_the_service(
+        capsys, tmp_path, monkeypatch):
+    """A port that cannot be bound fails ``repro serve`` with a usage
+    error before the service starts: no active trace, no log sink and
+    no ``service.start`` record."""
+    import socket
+
+    from repro.obs import current_trace, logging_configured
+
+    monkeypatch.delenv("REPRO_LOG_PATH", raising=False)
+    store = tmp_path / "store"
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        assert main(["serve", "--port", str(port), "--cache-dir",
+                     str(store)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot listen on 127.0.0.1:")
+    assert "Traceback" not in err
+    assert current_trace() is None
+    assert not logging_configured()
+    log = store / "service" / "service.log.jsonl"
+    assert not log.exists() or "service.start" not in log.read_text()
+
+
 # -- cache command ----------------------------------------------------
 
 

@@ -8,9 +8,10 @@ from repro.devices.mosfet import (
     IOFF_PREFACTOR_UA_UM,
     MosfetModel,
     SUBTHRESHOLD_SWING_300K_MV,
+    VTH_TEMPERATURE_COEFF_V_PER_K,
 )
 from repro.devices.oxide import GateStack
-from repro.devices.params import device_for_node
+from repro.devices.params import DEVICES_BY_NODE, device_for_node
 from repro.errors import ModelParameterError
 
 
@@ -31,6 +32,25 @@ class TestEq4Ioff:
         expected_ua = IOFF_PREFACTOR_UA_UM * 10.0 ** (
             -vth / (SUBTHRESHOLD_SWING_300K_MV * 1e-3))
         assert model.ioff_na_um() == pytest.approx(expected_ua * 1e3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(node_nm=st.sampled_from(sorted(DEVICES_BY_NODE)),
+           vdd_v=st.floats(0.0, 2.0), vth_v=st.floats(-0.2, 0.6),
+           temperature_k=st.floats(1.0, 700.0))
+    def test_equals_the_extended_eq4_exactly(self, node_nm, vdd_v, vth_v,
+                                             temperature_k):
+        # Written out in one expression: Eq. (4) with the DIBL shift of
+        # the drain bias and the temperature terms.
+        params = device_for_node(node_nm)
+        swing_v = SUBTHRESHOLD_SWING_300K_MV * temperature_k / 300.0 * 1e-3
+        effective_vth = (vth_v
+                         - params.dibl_v_per_v * (vdd_v - params.vdd_v)
+                         - VTH_TEMPERATURE_COEFF_V_PER_K
+                         * (temperature_k - 300.0))
+        expected_ua = IOFF_PREFACTOR_UA_UM * 10.0 ** (
+            -effective_vth / swing_v)
+        assert MosfetModel(params).ioff_na_um(
+            vdd_v, vth_v, temperature_k) == expected_ua * 1e3
 
     def test_paper_anchor_point(self):
         # Vth = 0.3 V gives ~3 nA/um (the 180 nm Table 2 entry).

@@ -2,6 +2,7 @@
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -144,6 +145,40 @@ def test_follow_streams_until_terminal(daemon, monkeypatch):
     consumer.join(timeout=30.0)
     assert not consumer.is_alive()
     assert [e["event"] for e in collected][-1] in ("done", "failed")
+
+
+def test_terminal_state_waits_for_its_journal_record(daemon, monkeypatch):
+    """A transition is journalled before any client sees it, and its
+    state and event appear together: while the WAL's ``done`` write is
+    held, the job still reads ``running``, and a follower that polls
+    meanwhile ends its stream on ``done``."""
+    _inject(monkeypatch, "E-T1", lambda: 1)
+    wal = daemon.service.wal
+    log_state = wal.log_state
+    held, release = threading.Event(), threading.Event()
+
+    def held_log_state(job_id, state, **fields):
+        if state == "done":
+            held.set()
+            release.wait(timeout=30.0)
+        return log_state(job_id, state, **fields)
+
+    monkeypatch.setattr(wal, "log_state", held_log_state)
+    job = daemon.client.submit(["E-T1"])
+    collected = []
+    follower = threading.Thread(target=lambda: collected.extend(
+        daemon.client.events(job["id"], follow=True)))
+    try:
+        assert held.wait(timeout=30.0)
+        assert daemon.client.job(job["id"])["state"] == "running"
+        follower.start()
+        time.sleep(0.2)  # several 50 ms polls inside the held write
+    finally:
+        release.set()
+    follower.join(timeout=30.0)
+    assert not follower.is_alive()
+    assert collected[-1]["event"] == "done"
+    assert daemon.client.job(job["id"])["state"] == "done"
 
 
 def test_backpressure_returns_429(daemon, monkeypatch):
