@@ -24,8 +24,8 @@ HEADER = """\
 Every table, figure and quantitative in-text claim of Sylvester & Kaul
 (DAC 2001), reproduced by this library.  "Measured" values below are
 generated by `python scripts/generate_experiments_md.py`, which runs
-the same experiment registry the benchmark suite exercises
-(`pytest benchmarks/ --benchmark-only`).
+the same experiment registry whose claims the test suite asserts
+(`tests/test_analysis_experiments.py`).
 
 Reproduction criterion (DESIGN.md section 5): the *shape* of every
 result -- who wins, by roughly what factor, where crossovers fall --
@@ -147,8 +147,10 @@ def write_report(stream: io.TextIOBase,
                  f"{figure3['conservative_pstatic_at_0v2']:.3f} |\n\n")
     stream.write(
         "The DIBL extension (eta = 0.12 V/V) is load-bearing for the "
-        "constant-Pstatic result; `benchmarks/bench_ablation_dibl.py` "
-        "shows the < 1.3x claim fails without it.\n\n")
+        "constant-Pstatic result; "
+        "`tests/test_power_vdd_scaling.py::"
+        "test_dibl_is_load_bearing_for_fig3` shows the < 1.3x claim "
+        "fails without it.\n\n")
 
     # ---- Figure 4 ----------------------------------------------------
     figure4 = results["E-F4"]["summary"]

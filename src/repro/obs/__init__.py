@@ -82,7 +82,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.resources import (
     ResourceSample,
-    ResourceSampler,
     record_resource_delta,
     record_resource_metrics,
     sample_resources,
@@ -128,7 +127,6 @@ __all__ = [
     "MetricsRegistry",
     "RESIDUAL_BUCKETS",
     "ResourceSample",
-    "ResourceSampler",
     "SIZE_BUCKETS",
     "SamplingProfiler",
     "SpanRecord",

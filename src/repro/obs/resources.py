@@ -10,10 +10,10 @@ shapes:
   the worker process *is* the task, so its ``ru_maxrss`` and CPU totals
   are the task's cost, and the parent's max-merge of the
   ``resource.rss_peak_kb`` gauge yields the sweep-wide worker peak.
-* **delta** (:class:`ResourceSampler` / :func:`record_resource_delta`)
-  -- bracket a region and record what it consumed.  Used for the
-  per-sweep accounting in the scheduler (whose process outlives many
-  sweeps) and by the benchmark fixtures.
+* **delta** (:func:`record_resource_delta`) -- record what a region
+  consumed since a :func:`sample_resources` snapshot taken at its
+  start.  Used for the per-sweep and per-task accounting in the
+  scheduler, whose process outlives many sweeps.
 
 ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; the samples
 normalise to kilobytes.  Note that a process's peak RSS is monotone,
@@ -102,40 +102,8 @@ def record_resource_delta(metrics: MetricsRegistry,
     return after
 
 
-class ResourceSampler:
-    """Delta-samples resource usage around regions into one registry."""
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self.metrics = metrics
-
-    def measure(self, scope: str) -> "_Measurement":
-        """``with sampler.measure("sweep"): ...`` records the region's
-        CPU/GC deltas, wall time, and the process RSS peak."""
-        return _Measurement(self.metrics, scope)
-
-
-class _Measurement:
-    __slots__ = ("_metrics", "_scope", "_before")
-
-    def __init__(self, metrics: MetricsRegistry, scope: str) -> None:
-        self._metrics = metrics
-        self._scope = scope
-        self._before: ResourceSample | None = None
-
-    def __enter__(self) -> "_Measurement":
-        self._before = sample_resources()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._before is not None:
-            record_resource_delta(self._metrics, self._before,
-                                  self._scope)
-        return False
-
-
 __all__ = [
     "ResourceSample",
-    "ResourceSampler",
     "record_resource_delta",
     "record_resource_metrics",
     "sample_resources",

@@ -1,8 +1,7 @@
 """Service chaos harness: SIGKILL the daemon mid-sweep, prove recovery.
 
-``repro chaos --service`` (and the CI ``service_recovery_smoke``
-script) drive a real daemon subprocess through the crash the WAL
-exists for:
+``repro chaos --service`` (CI's ``service-recovery`` job) drives a
+real daemon subprocess through the crash the WAL exists for:
 
 1. start a daemon over a fresh state dir and submit several jobs with
    idempotency keys (one dispatcher, so most stay queued);

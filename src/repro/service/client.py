@@ -21,6 +21,7 @@ drop.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -64,6 +65,28 @@ class ServiceUnavailableError(ServiceError):
     """The service could not be reached at all (connection-level)."""
 
 
+def _status_error(exc: urllib.error.HTTPError) -> ServiceError:
+    """The :class:`ServiceError` an error status maps to."""
+    raw = exc.read().decode("utf-8", errors="replace")
+    try:
+        detail = json.loads(raw)
+    except json.JSONDecodeError:
+        detail = {"error": raw.strip()}
+    message = detail.get("error", f"HTTP {exc.code}")
+    if exc.code == 429:
+        return BackpressureError(
+            message, payload=detail,
+            retry_after_s=float(detail.get("retry_after_s", 2.0)))
+    error = ServiceError(message, status=exc.code, payload=detail)
+    retry_after = exc.headers.get("Retry-After")
+    if retry_after is not None:
+        try:
+            error.payload.setdefault("retry_after_s", float(retry_after))
+        except ValueError:
+            pass
+    return error
+
+
 class ServiceClient:
     """Thin JSON-over-HTTP client bound to one daemon base URL."""
 
@@ -76,11 +99,19 @@ class ServiceClient:
         self.retries = retries
         self.backoff = backoff or BackoffPolicy(base_s=0.2, max_s=5.0)
 
-    # -- plumbing -----------------------------------------------------
+    # -- transport ----------------------------------------------------
 
-    def _request_once(self, method: str, path: str,
-                      payload: dict | None = None,
-                      headers: dict[str, str] | None = None) -> Any:
+    def _send_once(self, method: str, path: str,
+                   payload: dict | None, headers: dict[str, str] | None,
+                   stream: bool) -> Any:
+        """One HTTP exchange: the body, or with ``stream`` the open
+        response (the caller iterates and closes it).
+
+        An error status raises :class:`ServiceError`
+        (:class:`BackpressureError` for 429); a connection that fails
+        or drops before the body is read raises
+        :class:`ServiceUnavailableError`.
+        """
         body = (json.dumps(payload).encode("utf-8")
                 if payload is not None else None)
         request_headers = dict(headers or {})
@@ -91,45 +122,26 @@ class ServiceClient:
             self.base_url + path, data=body, method=method,
             headers=request_headers)
         try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout_s) as response:
-                return json.loads(response.read().decode("utf-8"))
+            response = urllib.request.urlopen(request,
+                                               timeout=self.timeout_s)
+            if stream:
+                return response
+            with response:
+                return response.read()
         except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", errors="replace")
-            try:
-                detail = json.loads(raw)
-            except json.JSONDecodeError:
-                detail = {"error": raw.strip()}
-            message = detail.get("error", f"HTTP {exc.code}")
-            if exc.code == 429:
-                raise BackpressureError(
-                    message, payload=detail,
-                    retry_after_s=float(
-                        detail.get("retry_after_s", 2.0))) from None
-            retry_after = exc.headers.get("Retry-After")
-            error = ServiceError(message, status=exc.code,
-                                 payload=detail)
-            if retry_after is not None:
-                try:
-                    error.payload.setdefault(
-                        "retry_after_s", float(retry_after))
-                except ValueError:
-                    pass
-            raise error from None
-        except urllib.error.URLError as exc:
+            raise _status_error(exc) from None
+        except (http.client.HTTPException, OSError) as exc:
             raise ServiceUnavailableError(
                 f"cannot reach service at {self.base_url}: "
-                f"{exc.reason}") from None
-        except (ConnectionError, TimeoutError, OSError) as exc:
-            raise ServiceUnavailableError(
-                f"cannot reach service at {self.base_url}: "
-                f"{exc}") from None
+                f"{getattr(exc, 'reason', exc)}") from None
 
-    def _request(self, method: str, path: str,
-                 payload: dict | None = None,
-                 headers: dict[str, str] | None = None) -> Any:
-        """One API call with up to ``self.retries`` bounded retries.
+    def _send(self, method: str, path: str,
+              payload: dict | None = None,
+              headers: dict[str, str] | None = None, *,
+              stream: bool = False) -> Any:
+        """:meth:`_send_once` with up to ``self.retries`` retries.
 
+        Every call goes through here: JSON, text and event streams.
         Retries cover connection-level failures and retryable 5xx
         answers only -- 4xx (including 429 backpressure) and success
         always surface immediately.  The wait between attempts is the
@@ -139,10 +151,8 @@ class ServiceClient:
         attempt = 0
         while True:
             try:
-                if headers:
-                    return self._request_once(method, path, payload,
-                                              headers)
-                return self._request_once(method, path, payload)
+                return self._send_once(method, path, payload, headers,
+                                       stream)
             except ServiceUnavailableError:
                 if attempt >= self.retries:
                     raise
@@ -156,6 +166,13 @@ class ServiceClient:
                     float(exc.payload.get("retry_after_s", 0.0)))
             attempt += 1
             time.sleep(delay)
+
+    def _request(self, method: str, path: str,
+                 payload: dict | None = None,
+                 headers: dict[str, str] | None = None) -> Any:
+        """One JSON API call."""
+        return json.loads(
+            self._send(method, path, payload, headers).decode("utf-8"))
 
     # -- API ----------------------------------------------------------
 
@@ -207,11 +224,7 @@ class ServiceClient:
         return self._request("GET", "/v1/stats")
 
     def stats_prometheus(self) -> str:
-        request = urllib.request.Request(
-            self.base_url + "/v1/stats?format=prom")
-        with urllib.request.urlopen(
-                request, timeout=self.timeout_s) as response:
-            return response.read().decode("utf-8")
+        return self._send("GET", "/v1/stats?format=prom").decode("utf-8")
 
     def history(self, since: int = 0,
                 limit: int | None = None) -> dict:
@@ -227,26 +240,8 @@ class ServiceClient:
 
     def profile(self, job_id: str) -> str:
         """The job's collapsed-stack profile (text; 404 when absent)."""
-        request = urllib.request.Request(
-            self.base_url + f"/v1/jobs/{job_id}/profile")
-        try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout_s) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", errors="replace")
-            try:
-                detail = json.loads(raw)
-            except json.JSONDecodeError:
-                detail = {"error": raw.strip()}
-            raise ServiceError(
-                detail.get("error", f"HTTP {exc.code}"),
-                status=exc.code, payload=detail) from None
-        except (urllib.error.URLError, ConnectionError,
-                TimeoutError, OSError) as exc:
-            raise ServiceUnavailableError(
-                f"cannot reach service at {self.base_url}: "
-                f"{exc}") from None
+        return self._send(
+            "GET", f"/v1/jobs/{job_id}/profile").decode("utf-8")
 
     def store(self) -> dict:
         return self._request("GET", "/v1/store")
@@ -262,11 +257,9 @@ class ServiceClient:
         query = [f"since={since}"] if since else []
         if follow:
             query.append("follow=1")
-        url = (f"{self.base_url}/v1/jobs/{job_id}/events"
-               + ("?" + "&".join(query) if query else ""))
-        request = urllib.request.Request(url)
-        with urllib.request.urlopen(
-                request, timeout=self.timeout_s) as response:
+        path = (f"/v1/jobs/{job_id}/events"
+                + ("?" + "&".join(query) if query else ""))
+        with self._send("GET", path, stream=True) as response:
             for line in response:
                 text = line.decode("utf-8").strip()
                 if text:
@@ -277,11 +270,12 @@ class ServiceClient:
         """Yield the job's JSONL events from seq ``since`` onwards.
 
         With ``follow`` the stream runs until the job reaches a
-        terminal state -- surviving connection drops: a dropped or
-        refused stream is reconnected (up to ``self.retries`` extra
-        times, backoff between attempts) with ``since`` advanced past
-        the last delivered event, so a daemon restart mid-follow
-        neither loses nor duplicates events.
+        terminal state -- surviving connection drops: a dropped stream
+        is reconnected (up to ``self.retries`` extra times, backoff
+        between attempts, each reconnect itself retried as any call
+        is) with ``since`` advanced past the last delivered event, so
+        a daemon restart mid-follow neither loses nor duplicates
+        events.
         """
         next_seq = since
         attempt = 0
@@ -297,17 +291,7 @@ class ServiceClient:
                     attempt = 0  # progress resets the retry budget
                     yield event
                 return
-            except urllib.error.HTTPError as exc:
-                raw = exc.read().decode("utf-8", errors="replace")
-                try:
-                    detail = json.loads(raw)
-                except json.JSONDecodeError:
-                    detail = {"error": raw.strip()}
-                raise ServiceError(
-                    detail.get("error", f"HTTP {exc.code}"),
-                    status=exc.code, payload=detail) from None
-            except (urllib.error.URLError, ConnectionError,
-                    TimeoutError, OSError) as exc:
+            except (http.client.HTTPException, OSError) as exc:
                 if not follow or attempt >= self.retries:
                     raise ServiceUnavailableError(
                         f"event stream for {job_id} dropped: "

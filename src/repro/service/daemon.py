@@ -99,7 +99,13 @@ from repro.service.jobs import (
 )
 from repro.service.queue import AdmissionQueue, QueueConfig, QueueFullError
 from repro.service.store import StoreManager
-from repro.service.wal import WAL_FILENAME, JobWAL, WalEntry
+from repro.service.wal import (
+    EVENTS_SUFFIX,
+    PROFILE_SUFFIX,
+    WAL_FILENAME,
+    JobWAL,
+    WalEntry,
+)
 
 #: Bytes of request body the server is willing to buffer.
 MAX_BODY_BYTES = 1 << 20
@@ -343,10 +349,6 @@ class ExperimentService:
 
     # -- crash recovery -----------------------------------------------
 
-    def _event_log_path(self, job_id: str) -> Path:
-        return (Path(self.config.cache_dir) / "service"
-                / f"{job_id}.events.jsonl")
-
     def _wal_entries(self) -> list[WalEntry]:
         """Current job table as WAL entries, in submission order."""
         with self._jobs_lock:
@@ -383,7 +385,7 @@ class ExperimentService:
         ordered = sorted(report.entries.values(),
                          key=lambda entry: entry.arrival)
         for entry in ordered:
-            log = JobEventLog(self._event_log_path(entry.job_id))
+            log = JobEventLog(self.wal.job_file(entry.job_id, EVENTS_SUFFIX))
             events, skipped = log.replay()
             if skipped:
                 add_counter("service.events_skipped", skipped)
@@ -499,18 +501,26 @@ class ExperimentService:
                 if existing is not None:
                     add_counter("service.idempotent_hits")
                     return existing, False
+            # Ids count per process, so a restarted daemon with the
+            # same pid mints its predecessor's ids again: skip any id
+            # the table (which holds every recovered WAL entry) knows.
             job_id = next_job_id()
+            while job_id in self.jobs:
+                job_id = next_job_id()
             job = Job(id=job_id, spec=spec,
                       event_log=JobEventLog(
-                          self._event_log_path(job_id)),
+                          self.wal.job_file(job_id, EVENTS_SUFFIX)),
                       wal=self.wal)
             self.jobs[job_id] = job
             if key is not None:
                 self._idempotency[key] = job_id
-        # Journal before admission: a dispatcher may transition the job
-        # the instant it is queued, and a state record must never reach
-        # the WAL ahead of its submit record.
+        # Journal and log before admission: a dispatcher may transition
+        # the job the instant it is queued, and neither its state record
+        # nor its ``running`` event may come first.
         self.wal.log_submit(job_id, spec, job.submitted_at)
+        job.add_event(JOB_QUEUED, tenant=spec.tenant,
+                      priority=spec.priority,
+                      experiments=list(spec.experiment_ids))
         try:
             self.queue.submit(job)
         except QueueFullError:
@@ -520,10 +530,8 @@ class ExperimentService:
                     self._idempotency.pop(key, None)
             self.wal.log_state(job_id, JOB_CANCELLED,
                                reason="rejected: backpressure")
+            job.event_log.discard()
             raise
-        job.add_event(JOB_QUEUED, tenant=spec.tenant,
-                      priority=spec.priority,
-                      experiments=list(spec.experiment_ids))
         self._log.info("job.submit", trace_id=spec.trace_id,
                        job_id=job_id, tenant=spec.tenant,
                        priority=spec.priority,
@@ -612,10 +620,6 @@ class ExperimentService:
                        backoff_s=round(delay, 3))
         self.queue.submit(job, force=True)
         self._work.set()
-
-    def _profile_path(self, job_id: str) -> Path:
-        return (Path(self.config.cache_dir) / "service"
-                / f"{job_id}.profile.txt")
 
     def _run_job(self, job: Job) -> None:
         spec = job.spec
@@ -718,7 +722,7 @@ class ExperimentService:
                        stacks=len(profiler.collapsed()),
                        duration_s=round(profiler.duration_s, 6))
         try:
-            path = self._profile_path(job.id)
+            path = self.wal.job_file(job.id, PROFILE_SUFFIX)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
         except OSError:
@@ -776,7 +780,13 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _BadRequest(f"malformed Content-Length {raw_length!r}")
     if length > MAX_BODY_BYTES:
         raise _BadRequest("request body too large")
     body = await reader.readexactly(length) if length else b""
@@ -1070,8 +1080,8 @@ class ServiceServer:
             text = job.profile_text
             if text is None:
                 try:
-                    text = service._profile_path(job.id).read_text(
-                        encoding="utf-8")
+                    text = service.wal.job_file(
+                        job.id, PROFILE_SUFFIX).read_text(encoding="utf-8")
                 except OSError:
                     text = None
             if text is None:

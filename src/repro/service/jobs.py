@@ -240,6 +240,14 @@ class JobEventLog:
         except OSError:
             pass  # event files are best-effort observability
 
+    def discard(self) -> None:
+        """Delete the event file (a submission the queue refused)."""
+        if self.path is not None:
+            try:
+                self.path.unlink(missing_ok=True)
+            except OSError:
+                pass
+
     def replay(self) -> tuple[list[dict], int]:
         """Read back the event file, tolerating a torn final line.
 

@@ -29,7 +29,9 @@ not).
 
 :meth:`JobWAL.compact` atomically and durably rewrites the journal down
 to the live set (plus a bounded tail of terminal stubs) so the WAL does
-not grow without bound across restarts.
+not grow without bound across restarts.  It is the one retention rule
+for a job's state: the per-job files next to the WAL (event log,
+profile) of every job it drops are deleted with it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ OP_STATE = "state"
 
 #: Default file name under the service state directory.
 WAL_FILENAME = "wal.jsonl"
+
+#: Per-job files next to the WAL, named ``<job id><suffix>``.
+EVENTS_SUFFIX = ".events.jsonl"
+PROFILE_SUFFIX = ".profile.txt"
+JOB_FILE_SUFFIXES = (EVENTS_SUFFIX, PROFILE_SUFFIX)
 
 
 def _submit_record(job_id: str, spec: JobSpec, submitted_at: float) -> dict:
@@ -123,6 +130,10 @@ class JobWAL:
         #: Appends that failed at the OS level (counted, never raised:
         #: a read-only state dir must degrade durability, not service).
         self.write_errors = 0
+
+    def job_file(self, job_id: str, suffix: str) -> Path:
+        """Path of one of a job's per-job files (see ``JOB_FILE_SUFFIXES``)."""
+        return self.path.parent / f"{job_id}{suffix}"
 
     # -- appends ------------------------------------------------------
 
@@ -211,15 +222,16 @@ class JobWAL:
         Live (non-terminal) entries are always kept; terminal stubs are
         capped at the ``keep_terminal`` most recent so the WAL stays
         bounded across restarts.  Each kept entry becomes one submit
-        line plus (when not freshly queued) one state line.  Returns
-        the number of entries written; on any I/O error the existing
-        journal is left untouched.
+        line plus (when not freshly queued) one state line; each
+        dropped entry's per-job files are deleted once the new journal
+        is in place.  Returns the number of entries written; on any I/O
+        error the existing journal and every file are left untouched.
         """
         ordered = sorted(entries, key=lambda entry: entry.arrival)
         terminal = [entry for entry in ordered if entry.terminal]
-        drop = (set(id(entry) for entry
-                    in terminal[:max(0, len(terminal) - keep_terminal)])
-                if keep_terminal >= 0 else set())
+        dropped = (terminal[:max(0, len(terminal) - keep_terminal)]
+                   if keep_terminal >= 0 else [])
+        drop = {id(entry) for entry in dropped}
         lines: list[str] = []
         kept = 0
         for entry in ordered:
@@ -238,4 +250,11 @@ class JobWAL:
             self.write_errors += 1
             add_counter("wal.write_errors")
             return 0
+        for entry in dropped:
+            for suffix in JOB_FILE_SUFFIXES:
+                try:
+                    self.job_file(entry.job_id, suffix).unlink(
+                        missing_ok=True)
+                except OSError:
+                    pass  # a stray file costs disk, never the WAL
         return kept

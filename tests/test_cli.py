@@ -732,6 +732,17 @@ def test_jobs_unreachable_service_is_a_clean_error(capsys):
     assert "cannot reach service" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["stats", "--format", "prom"],
+                                     ["profile", "j-none"]])
+def test_jobs_text_routes_unreachable_service_is_a_clean_error(
+        command, capsys):
+    assert main(["jobs", "--url", "http://127.0.0.1:1",
+                 "--http-retries", "0", *command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot reach service")
+    assert "Traceback" not in err
+
+
 # -- interrupted sweeps -----------------------------------------------
 
 

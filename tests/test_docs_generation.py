@@ -54,7 +54,7 @@ def test_design_md_lists_every_subpackage():
 def test_readme_references_real_paths():
     readme = (REPO / "README.md").read_text()
     for token in ("examples/quickstart.py", "DESIGN.md",
-                  "EXPERIMENTS.md", "pytest benchmarks/"):
+                  "EXPERIMENTS.md", "python -m pytest tests/"):
         assert token in readme, token
     # Every example the README advertises exists.
     for line in readme.splitlines():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.circuits.gate import GateKind
+from repro.circuits.mcml import CMOS_GLITCH_FACTOR
 from repro.circuits.library import build_library
 from repro.errors import NetlistError
 from repro.netlist.activity import (
@@ -98,8 +99,40 @@ class TestAgainstSimulation:
         # stay within ~2.5x either way across random netlists.
         assert 0.4 < total_est / total_sim < 2.5
 
+    def test_estimate_cross_checks_simulation(self):
+        netlist = random_netlist(100, n_gates=250, seed=22)
+        estimated = estimated_activity_map(netlist)
+        simulated = measured_activity(netlist, n_vectors=300, seed=2)
+        ratio = (sum(estimated.values())
+                 / sum(simulated.activity_map().values()))
+        assert 0.4 < ratio < 2.5
+
     def test_map_is_capped(self):
         netlist = random_netlist(100, n_gates=150, seed=23)
         for value in estimated_activity_map(netlist,
                                             input_density=0.9).values():
             assert 0.0 <= value <= 1.0
+
+
+class TestActivityRegimes:
+    """The activity factors behind Figs. 1/4 and the CMOS glitch
+    multiplier behind Section 4's MCML comparison."""
+
+    def test_busy_random_logic(self):
+        netlist = random_netlist(100, n_gates=250, seed=21, max_depth=24)
+        result = measured_activity(netlist, n_vectors=300, seed=1)
+        # Busy traffic produces the high-activity regime; the glitch
+        # factor exceeds one and sits below the conservative datapath
+        # multiplier of the MCML comparison (random logic glitches less
+        # than arithmetic).
+        assert 0.1 < result.mean_activity() < 0.5
+        assert 1.0 <= result.mean_glitch_factor() <= CMOS_GLITCH_FACTOR
+
+    @pytest.mark.parametrize("flip,band", [(0.03, (0.005, 0.12)),
+                                           (0.5, (0.1, 0.5))])
+    def test_input_activity_sets_the_band(self, flip, band):
+        netlist = random_netlist(100, n_gates=200, seed=23)
+        result = measured_activity(netlist, n_vectors=300, seed=3,
+                                   flip_probability=flip)
+        low, high = band
+        assert low < result.mean_activity() < high

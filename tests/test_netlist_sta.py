@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.scaling import SCALE_N_GATES, SCALE_SEED
 from repro.circuits.gate import GateKind
 from repro.circuits.library import build_library
 from repro.errors import NetlistError
@@ -140,3 +141,12 @@ class TestInvariants:
         netlist = random_netlist(100, n_gates=60, seed=0)
         with pytest.raises(NetlistError):
             compute_sta(netlist, clock_period_s=-1.0)
+
+
+@pytest.mark.parametrize("n_gates", [200, 800, 2000, SCALE_N_GATES])
+def test_random_netlists_meet_timing_at_scale(n_gates):
+    # The largest is E-S2's netlist: the STA scaling tier must time a
+    # 4000-gate design that closes.
+    netlist = random_netlist(100, n_gates=n_gates, seed=SCALE_SEED)
+    assert len(netlist) == n_gates
+    assert compute_sta(netlist).meets_timing()

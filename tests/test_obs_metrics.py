@@ -13,12 +13,12 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     RESIDUAL_BUCKETS,
-    ResourceSampler,
     Trace,
     current_metrics,
     exponential_buckets,
     linear_buckets,
     observe,
+    record_resource_delta,
     record_resource_metrics,
     registry_summary,
     reset_tracing,
@@ -350,11 +350,11 @@ def test_record_resource_metrics_absolute_shape():
                               scope="task").count == 1
 
 
-def test_resource_sampler_brackets_a_region():
+def test_record_resource_delta_brackets_a_region():
     registry = MetricsRegistry()
-    sampler = ResourceSampler(registry)
-    with sampler.measure("bench"):
-        time.sleep(0.01)
+    before = sample_resources()
+    time.sleep(0.01)
+    record_resource_delta(registry, before, scope="bench")
     wall = registry.histogram("resource.wall_s", scope="bench")
     assert wall.count == 1
     assert wall.sum >= 0.01

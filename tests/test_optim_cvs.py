@@ -139,3 +139,20 @@ def test_mixed_endpoint_and_fanout_gate_lowered_with_its_fanout():
     assert netlist.instances["g0"].vdd_v is not None
     assert netlist.instances["g1"].vdd_v is not None
     assert compute_sta(netlist).meets_timing(tolerance_s=1e-15)
+
+
+def test_supply_ratio_sweet_spot():
+    """Paper: a Vdd,l / Vdd,h ratio "around 0.6 to 0.7" is optimal.
+    Too high a ratio saves little per gate; too low a ratio slows the
+    lowered gates so much that few qualify."""
+    savings = {}
+    for ratio in (0.50, 0.60, 0.65, 0.70, 0.80, 0.90):
+        result = assign_cvs(_netlist(seed=4), vdd_ratio=ratio)
+        assert 0.0 <= result.dynamic_saving < 1.0
+        assert 0.0 <= result.low_vdd_fraction <= 1.0
+        savings[ratio] = result.dynamic_saving
+    best = max(savings, key=savings.get)
+    assert 0.55 <= best <= 0.75, savings
+    # ... and it beats the extremes decisively.
+    assert savings[best] > savings[0.90]
+    assert savings[best] > savings[0.50]

@@ -3,8 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import units
+from repro.analysis.scaling import scaling_s1_grid
 from repro.errors import ModelParameterError
-from repro.pdn.bacpac import PitchScenario
+from repro.itrs import ITRS_2000
+from repro.pdn.bacpac import (
+    PitchScenario,
+    hotspot_current_density_a_m2,
+    required_rail_width_m,
+)
 from repro.pdn.grid import (
     solve_power_grid_2d,
     solve_rail_strip,
@@ -73,6 +80,25 @@ class TestGrid2d:
         with pytest.raises(ModelParameterError):
             solve_power_grid_2d(1e6, 0.1, 1e-6, 80e-6,
                                 rails_per_pitch=0)
+
+
+class TestScalingMesh:
+    @pytest.mark.parametrize("rails_per_pitch", [2, 4, 8])
+    def test_densifying_35nm_mesh(self, rails_per_pitch):
+        record = ITRS_2000.node(35)
+        width = required_rail_width_m(35, PitchScenario.MIN_PITCH)
+        solution = solve_power_grid_2d(
+            hotspot_current_density_a_m2(record),
+            record.top_metal_sheet_resistance, width / rails_per_pitch,
+            units.um(record.min_bump_pitch_um),
+            rails_per_pitch=rails_per_pitch, cells=4)
+        assert solution.worst_drop_v > solution.mean_drop_v > 0
+
+    def test_e_s1_mesh(self):
+        # E-S1: the cells=8, rails=8 bump patch of the solver tier.
+        result = scaling_s1_grid()
+        assert result["n_nodes"] == 4144
+        assert result["worst_drop_v"] > result["mean_drop_v"] > 0
 
 
 class TestVectorizedAssembly:

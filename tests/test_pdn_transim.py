@@ -305,6 +305,15 @@ class TestStepSelectorAndMethods:
             select_step(loop, stim, loop.period_s * 4.0,
                         loop.period_s / (4.0 * MAX_STEPS))
 
+    def test_long_periodic_run_stays_finite(self):
+        loop = supply_loop_for_node(100, False, damping_ratio=0.3)
+        stimulus = CurrentStimulus.periodic(
+            10.0, 120.0, loop.period_s * 4.0, 8)
+        result = simulate(loop, stimulus, loop.period_s * 40.0,
+                          dt_s=loop.period_s / 512.0)
+        assert result.n_steps >= 10_000
+        assert np.all(np.isfinite(result.v_die_v))
+
     def test_result_metadata(self):
         loop = _loop()
         stim = CurrentStimulus.step(0.0, 10.0, at_s=1e-9)

@@ -1,6 +1,8 @@
 """The service daemon: HTTP job API, backpressure, shutdown."""
 
 import asyncio
+import json
+import socket
 import threading
 import time
 
@@ -13,6 +15,7 @@ from repro.service import (
     ExperimentService,
     JobSpec,
     QueueConfig,
+    QueueFullError,
     ServiceClient,
     ServiceConfig,
     ServiceError,
@@ -305,6 +308,68 @@ def test_malformed_spec_rejected_400(daemon):
         daemon.client._request("POST", "/v1/jobs",
                                {"bogus": True})
     assert excinfo.value.status == 400
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_malformed_content_length_rejected_400(daemon, length):
+    port = int(daemon.client.base_url.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=10.0) as conn:
+        conn.sendall(("POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                      f"Content-Length: {length}\r\n\r\n").encode())
+        raw = b""
+        while chunk := conn.recv(4096):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400")
+    assert "Content-Length" in json.loads(body)["error"]
+
+
+def _wait_terminal(job, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not job.terminal and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert job.terminal, f"{job.id} still {job.state}"
+
+
+def test_queued_event_precedes_dispatch(tmp_path, monkeypatch):
+    """The ``queued`` event exists before a dispatcher can pop the job,
+    however late the submitting thread resumes after admission."""
+    _inject(monkeypatch, "E-T1", lambda: 1)
+    service = ExperimentService(ServiceConfig(
+        port=0, cache_dir=tmp_path / "store", executor="inline"))
+    admit = service.queue.submit
+
+    def slow_admission(job, **kwargs):
+        admit(job, **kwargs)
+        time.sleep(0.3)  # the dispatcher pops and runs the job now
+
+    monkeypatch.setattr(service.queue, "submit", slow_admission)
+    service.start()
+    try:
+        jobs = [service.submit(JobSpec(experiment_ids=("E-T1",)))[0]
+                for _ in range(3)]
+        for job in jobs:
+            _wait_terminal(job)
+    finally:
+        service.stop()
+    for job in jobs:
+        kinds = [event["event"] for event in job.events]
+        assert kinds[0] == "queued" and kinds[-1] == "done", kinds
+        logged, _ = job.event_log.replay()
+        assert [event["event"] for event in logged] == kinds
+
+
+def test_rejected_submission_leaves_no_event_file(tmp_path):
+    service = ExperimentService(ServiceConfig(
+        port=0, cache_dir=tmp_path / "store", executor="inline",
+        queue=QueueConfig(max_depth=1, max_per_tenant=1)))
+    admitted, _ = service.submit(JobSpec())
+    with pytest.raises(QueueFullError):
+        service.submit(JobSpec())
+    assert [path.name for path
+            in (tmp_path / "store" / "service").glob("*.events.jsonl")] \
+        == [f"{admitted.id}.events.jsonl"]
 
 
 def test_list_jobs_filters_by_tenant(daemon, monkeypatch):

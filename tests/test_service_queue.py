@@ -160,6 +160,18 @@ def test_queue_global_depth_rejection():
     assert queue.depth() == 2
 
 
+def test_queue_fills_to_both_caps_and_drains():
+    # 4 tenants x 64 jobs meet the per-tenant and the global cap at
+    # once: every job is admitted, and the queue drains to empty.
+    queue = AdmissionQueue(QueueConfig(max_depth=256, max_per_tenant=64))
+    for index in range(256):
+        queue.submit(_job(tenant=f"t{index % 4}"))
+    while queue.pop() is not None:
+        pass
+    assert queue.admitted == 256
+    assert queue.depth() == 0
+
+
 def test_queue_per_tenant_rejection_leaves_room_for_others():
     queue = AdmissionQueue(QueueConfig(max_depth=8, max_per_tenant=1))
     queue.submit(_job(tenant="noisy"))

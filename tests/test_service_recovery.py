@@ -1,6 +1,7 @@
 """Crash recovery, watchdog supervision, and client resilience."""
 
 import asyncio
+import itertools
 import json
 import os
 import shutil
@@ -224,6 +225,76 @@ def test_recover_breaks_stale_claims(tmp_path):
     assert not claim.exists()
 
 
+# -- daemon lifetimes that share a pid (a container's PID 1) ----------
+
+
+def _lifetime(tmp_path, monkeypatch, tenants=(), **overrides):
+    """Start a daemon over the shared state dir, run one E-T1 job per
+    tenant to completion, and stop it.
+
+    Ids are minted as a fresh process with pid 1 would mint them: a
+    daemon restarted as PID 1 gets its predecessor's pid and a fresh
+    counter.
+    """
+    counter = itertools.count(1)
+    monkeypatch.setattr("repro.service.daemon.next_job_id",
+                        lambda: f"j-00001-{next(counter):06d}")
+    service = _service(tmp_path, **overrides)
+    service.start()
+    try:
+        jobs = [service.submit(JobSpec(experiment_ids=("E-T1",),
+                                       tenant=tenant, profile=True))[0]
+                for tenant in tenants]
+        deadline = time.monotonic() + 30.0
+        while (not all(job.terminal for job in jobs)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+    finally:
+        service.stop()
+    return service, jobs
+
+
+def _kinds(job):
+    return [event["event"] for event in job.events]
+
+
+def test_restart_with_the_same_pid_mints_fresh_job_ids(tmp_path,
+                                                       monkeypatch):
+    _inject(monkeypatch, "E-T1", lambda: {"v": 1})
+    lifecycle = ["queued", "running", "record", "done"]
+    _, (first,) = _lifetime(tmp_path, monkeypatch, ["first"])
+    second_daemon, (second,) = _lifetime(tmp_path, monkeypatch,
+                                         ["second"])
+    assert second.id != first.id
+    recovered = second_daemon.jobs[first.id]
+    assert recovered.spec.tenant == "first"
+    assert recovered.state == JOB_DONE
+    assert _kinds(recovered) == lifecycle
+    assert _kinds(second) == lifecycle
+
+    third_daemon, _ = _lifetime(tmp_path, monkeypatch)
+    assert set(third_daemon.jobs) == {first.id, second.id}
+    for job, tenant in ((first, "first"), (second, "second")):
+        known = third_daemon.jobs[job.id]
+        assert known.spec.tenant == tenant
+        assert known.state == JOB_DONE
+        assert _kinds(known) == lifecycle
+        assert [event["seq"] for event in known.events] == [0, 1, 2, 3]
+
+
+def test_compaction_deletes_the_files_of_the_jobs_it_drops(
+        tmp_path, monkeypatch):
+    _inject(monkeypatch, "E-T1", lambda: {"v": 1})
+    _, jobs = _lifetime(tmp_path, monkeypatch, ["a", "b", "c"],
+                        wal_keep_terminal=1)
+    revived, _ = _lifetime(tmp_path, monkeypatch, wal_keep_terminal=1)
+    kept = jobs[-1].id
+    assert set(revived.jobs) == {kept}
+    assert sorted(path.name for path
+                  in (tmp_path / "store" / "service").glob("j-*")) \
+        == [f"{kept}.events.jsonl", f"{kept}.profile.txt"]
+
+
 # -- admission queue backoff gate -------------------------------------
 
 
@@ -442,13 +513,13 @@ def test_client_retries_connection_errors(monkeypatch):
         backoff=BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
     attempts = []
 
-    def flaky(method, path, payload=None):
+    def flaky(method, path, payload, headers, stream):
         attempts.append(path)
         if len(attempts) < 3:
             raise ServiceUnavailableError("boom")
-        return {"ok": True}
+        return b'{"ok": true}'
 
-    monkeypatch.setattr(client, "_request_once", flaky)
+    monkeypatch.setattr(client, "_send_once", flaky)
     assert client.health() == {"ok": True}
     assert len(attempts) == 3
 
@@ -459,11 +530,11 @@ def test_client_gives_up_after_retry_budget(monkeypatch):
         backoff=BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
     attempts = []
 
-    def down(method, path, payload=None):
+    def down(method, path, payload, headers, stream):
         attempts.append(path)
         raise ServiceUnavailableError("still down")
 
-    monkeypatch.setattr(client, "_request_once", down)
+    monkeypatch.setattr(client, "_send_once", down)
     with pytest.raises(ServiceUnavailableError):
         client.health()
     assert len(attempts) == 2  # first try + one retry
@@ -474,19 +545,19 @@ def test_client_retries_retryable_5xx_not_4xx(monkeypatch):
         "http://127.0.0.1:1", retries=3,
         backoff=BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
     script = [ServiceError("down", status=503),
-              ServiceError("down", status=502), {"ok": True}]
+              ServiceError("down", status=502), b'{"ok": true}']
 
-    def next_answer(method, path, payload=None):
+    def next_answer(method, path, payload, headers, stream):
         answer = script.pop(0)
         if isinstance(answer, Exception):
             raise answer
         return answer
 
-    monkeypatch.setattr(client, "_request_once", next_answer)
+    monkeypatch.setattr(client, "_send_once", next_answer)
     assert client.health() == {"ok": True}
 
     monkeypatch.setattr(
-        client, "_request_once",
+        client, "_send_once",
         lambda *a, **k: (_ for _ in ()).throw(
             ServiceError("no such job", status=404)))
     with pytest.raises(ServiceError) as excinfo:
