@@ -6,7 +6,7 @@ it over HTTP with the :class:`~repro.service.client.ServiceClient`,
 and asserts the service contract:
 
 1. a **cold** job over the given experiments completes via the job API
-   (submit -> poll -> done) with results for every experiment;
+   (submit -> wait -> done) with results for every experiment;
 2. an identical **warm** resubmission is served from the shared result
    store (>= ``--min-hit-rate`` of its records are cache hits) and the
    store stats route shows the hits;

@@ -13,8 +13,10 @@ retry budget is spent, and retryable 5xx answers (500/502/503/504) are
 retried with capped-jitter exponential backoff honouring any
 ``Retry-After`` the server sent.  :meth:`wait` and
 :meth:`events(follow=True) <events>` additionally survive a daemon
-restart mid-stream: ``wait`` keeps polling through connection drops
-until its own deadline, and a following event stream reconnects with
+restart mid-stream: both follow the job's event stream, which the
+daemon pushes as events happen and keeps alive with blank lines while
+the job is silent.  ``wait`` re-follows through connection drops until
+its own deadline, and a following event stream reconnects with
 ``?since=<next seq>`` so no event is lost or duplicated across the
 drop.
 """
@@ -103,9 +105,10 @@ class ServiceClient:
 
     def _send_once(self, method: str, path: str,
                    payload: dict | None, headers: dict[str, str] | None,
-                   stream: bool) -> Any:
+                   stream: bool, timeout_s: float) -> Any:
         """One HTTP exchange: the body, or with ``stream`` the open
-        response (the caller iterates and closes it).
+        response (the caller iterates and closes it).  Each socket
+        operation times out after ``timeout_s``.
 
         An error status raises :class:`ServiceError`
         (:class:`BackpressureError` for 429); a connection that fails
@@ -122,8 +125,7 @@ class ServiceClient:
             self.base_url + path, data=body, method=method,
             headers=request_headers)
         try:
-            response = urllib.request.urlopen(request,
-                                               timeout=self.timeout_s)
+            response = urllib.request.urlopen(request, timeout=timeout_s)
             if stream:
                 return response
             with response:
@@ -138,21 +140,25 @@ class ServiceClient:
     def _send(self, method: str, path: str,
               payload: dict | None = None,
               headers: dict[str, str] | None = None, *,
-              stream: bool = False) -> Any:
+              stream: bool = False, timeout_s: float | None = None) -> Any:
         """:meth:`_send_once` with up to ``self.retries`` retries.
 
         Every call goes through here: JSON, text and event streams.
+        Socket operations time out after ``timeout_s`` (default
+        ``self.timeout_s``).
         Retries cover connection-level failures and retryable 5xx
         answers only -- 4xx (including 429 backpressure) and success
         always surface immediately.  The wait between attempts is the
         capped-jitter backoff schedule, stretched to honour any
         ``Retry-After`` hint the server sent.
         """
+        if timeout_s is None:
+            timeout_s = self.timeout_s
         attempt = 0
         while True:
             try:
                 return self._send_once(method, path, payload, headers,
-                                       stream)
+                                       stream, timeout_s)
             except ServiceUnavailableError:
                 if attempt >= self.retries:
                     raise
@@ -252,18 +258,25 @@ class ServiceClient:
     def shutdown(self) -> dict:
         return self._request("POST", "/v1/shutdown")
 
-    def _events_once(self, job_id: str, follow: bool,
-                     since: int) -> Iterator[dict]:
+    def _events_once(self, job_id: str, follow: bool, since: int,
+                     deadline: float | None = None) -> Iterator[dict]:
+        """One events request.  With a ``deadline`` (monotonic) its
+        reads time out there, and it stops reading once past it."""
         query = [f"since={since}"] if since else []
         if follow:
             query.append("follow=1")
         path = (f"/v1/jobs/{job_id}/events"
                 + ("?" + "&".join(query) if query else ""))
-        with self._send("GET", path, stream=True) as response:
+        timeout_s = (None if deadline is None else max(
+            0.01, min(self.timeout_s, deadline - time.monotonic())))
+        with self._send("GET", path, stream=True,
+                        timeout_s=timeout_s) as response:
             for line in response:
                 text = line.decode("utf-8").strip()
                 if text:
                     yield json.loads(text)
+                if deadline is not None and time.monotonic() >= deadline:
+                    return
 
     def events(self, job_id: str, follow: bool = False,
                since: int = 0) -> Iterator[dict]:
@@ -300,32 +313,45 @@ class ServiceClient:
                 time.sleep(self.backoff.delay_s(
                     f"events:{job_id}", attempt))
 
-    def wait(self, job_id: str, *, timeout_s: float = 300.0,
-             poll_s: float = 0.1) -> dict:
-        """Poll until the job is terminal; returns the final job dict.
+    def wait(self, job_id: str, *, timeout_s: float = 300.0) -> dict:
+        """Follow the job's events to the terminal one, then return the
+        final job dict.
 
-        Connection failures during the poll (a daemon restarting under
-        the job) are absorbed with capped backoff until ``timeout_s``
-        runs out -- the recovered daemon still knows the job.
+        Stream reads time out at the deadline, so a job still live
+        then raises :class:`ServiceError`.  A dropped stream or an
+        unreachable daemon (one restarting under the job) is absorbed
+        with capped backoff until ``timeout_s`` runs out -- the
+        recovered daemon still knows the job -- and the stream resumes
+        after the last event read.
         """
         deadline = time.monotonic() + timeout_s
-        failures = 0
+        since = failures = 0
         while True:
             try:
+                try:
+                    for event in self._events_once(job_id, True, since,
+                                                   deadline):
+                        since = event["seq"] + 1
+                except (http.client.HTTPException, OSError) as exc:
+                    # a read that timed out at the deadline is no drop:
+                    # the job fetch below reports the state it left
+                    if time.monotonic() < deadline:
+                        raise ServiceUnavailableError(
+                            f"event stream for {job_id} dropped: "
+                            f"{exc}") from None
                 job = self.job(job_id)
             except ServiceUnavailableError:
                 if time.monotonic() >= deadline:
                     raise
-                failures += 1
-                time.sleep(min(
-                    self.backoff.delay_s(f"wait:{job_id}", failures),
-                    max(0.0, deadline - time.monotonic())))
-                continue
-            failures = 0
-            if job["state"] in ("done", "failed", "cancelled"):
-                return job
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {job['state']} after "
-                    f"{timeout_s:.0f}s")
-            time.sleep(poll_s)
+            else:
+                if job["state"] in ("done", "failed", "cancelled"):
+                    return job
+                if time.monotonic() >= deadline:
+                    raise ServiceError(
+                        f"job {job_id} still {job['state']} after "
+                        f"{timeout_s:.0f}s")
+            # the stream dropped or ended early: follow again
+            failures += 1
+            time.sleep(min(
+                self.backoff.delay_s(f"wait:{job_id}", failures),
+                max(0.0, deadline - time.monotonic())))

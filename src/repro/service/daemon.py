@@ -18,6 +18,10 @@ multi-tenant service.  Architecture, front to back:
   via claim files, not duplicate computation.  Engines run on these
   threads, so they install no signal handlers (an engine does so only
   on the main thread): the daemon owns signal policy.
+* **Retention** -- the WAL's compaction is the one rule for which
+  finished jobs the daemon keeps: it runs once the journal holds twice
+  ``wal_keep_terminal`` terminal jobs, and the jobs it drops leave the
+  job table with it.
 * **Shutdown** -- SIGINT/SIGTERM (or ``POST /v1/shutdown``) stops
   admission (503), cancels queued jobs, drains in-flight ones, prunes
   the store to its configured bounds, writes the service trace
@@ -49,7 +53,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.scheduler import EXECUTOR_INLINE, EXECUTOR_PROCESS
@@ -104,11 +108,17 @@ from repro.service.wal import (
     PROFILE_SUFFIX,
     WAL_FILENAME,
     JobWAL,
-    WalEntry,
 )
 
 #: Bytes of request body the server is willing to buffer.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a follow stream may send nothing before it writes a blank
+#: keepalive line (clients skip blank lines).  It stays below every
+#: client's read timeout -- the smallest default is ``repro top``'s
+#: 10 s -- so a silent job's stream is never timed out, and the write
+#: notices a follower that has gone.
+FOLLOW_KEEPALIVE_S = 5.0
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -129,8 +139,8 @@ class ServiceConfig:
     dispatchers: int = 1              # concurrent jobs (worker threads)
     executor: str = EXECUTOR_PROCESS  # engine executor for job sweeps
     trace_out: Path | None = None     # service trace artifact on stop
-    #: Store bounds applied after every job and on demand; ``None``
-    #: disables that bound.
+    #: Store bounds applied after every job (when any is set), on
+    #: demand and at shutdown; ``None`` disables that bound.
     store_max_bytes: int | None = None
     store_max_entries: int | None = None
     store_max_age_s: float | None = None
@@ -145,7 +155,8 @@ class ServiceConfig:
     #: Jittered exponential backoff between recovery requeues.
     recovery_backoff: BackoffPolicy = field(
         default_factory=lambda: BackoffPolicy(base_s=0.5, max_s=30.0))
-    #: Terminal job stubs retained in the WAL across compactions.
+    #: Terminal jobs retained by WAL compaction, which a live daemon
+    #: runs once the journal holds twice this many.
     wal_keep_terminal: int = 256
     #: Structured-log sink; ``None`` defaults to
     #: ``<cache_dir>/service/service.log.jsonl``.
@@ -286,8 +297,7 @@ class ExperimentService:
         if self._sampler is not None:
             self._sampler.stop()
         self.prune_store()
-        self.wal.compact(self._wal_entries(),
-                         keep_terminal=self.config.wal_keep_terminal)
+        self._compact()
         self._release_telemetry()
         if self.config.trace_out is not None:
             try:
@@ -347,20 +357,34 @@ class ExperimentService:
                     sample[f"{name}.{q_name}"] = round(value, 6)
         return sample
 
-    # -- crash recovery -----------------------------------------------
+    # -- retention ----------------------------------------------------
 
-    def _wal_entries(self) -> list[WalEntry]:
-        """Current job table as WAL entries, in submission order."""
+    def _compact(self) -> None:
+        """Compact the WAL; the jobs it drops leave the table with it."""
+        self.wal.compact(keep_terminal=self.config.wal_keep_terminal,
+                         on_drop=self._forget)
+
+    def _retain(self) -> None:
+        """Compact once the WAL holds twice ``wal_keep_terminal``
+        terminal jobs: the table holds at most that many (plus one per
+        other dispatcher finishing a job meanwhile) besides the live
+        jobs, and compaction runs about once per ``wal_keep_terminal``
+        finished jobs."""
+        keep = self.config.wal_keep_terminal
+        if keep >= 0 and self.wal.terminal >= max(1, 2 * keep):
+            self._compact()
+
+    def _forget(self, job_ids: list[str]) -> None:
+        """Drop compacted jobs from the table and the idempotency map:
+        an evicted id answers as it would after a restart."""
         with self._jobs_lock:
-            jobs = sorted(self.jobs.values(),
-                          key=lambda job: (job.submitted_at, job.id))
-        return [WalEntry(job_id=job.id, spec=job.spec,
-                         submitted_at=job.submitted_at,
-                         state=job.state, reason=job.reason,
-                         error=job.error,
-                         recovery_attempts=job.recovery_attempts,
-                         arrival=index)
-                for index, job in enumerate(jobs)]
+            for job_id in job_ids:
+                job = self.jobs.pop(job_id, None)
+                key = job.spec.idempotency_key if job is not None else None
+                if key is not None and self._idempotency.get(key) == job_id:
+                    del self._idempotency[key]
+
+    # -- crash recovery -----------------------------------------------
 
     def _recover(self) -> None:
         """Rebuild the job table from the WAL after a crash/restart.
@@ -436,8 +460,7 @@ class ExperimentService:
             self.queue.submit(job, force=True)
         # leases the dead process held will never be released by it
         self.store.cache.sweep_stale_claims()
-        self.wal.compact(self._wal_entries(),
-                         keep_terminal=self.config.wal_keep_terminal)
+        self._compact()
         if self.recovered_jobs or self.queue.depth():
             self._work.set()
 
@@ -503,7 +526,7 @@ class ExperimentService:
                     return existing, False
             # Ids count per process, so a restarted daemon with the
             # same pid mints its predecessor's ids again: skip any id
-            # the table (which holds every recovered WAL entry) knows.
+            # the table (which holds every job the WAL does) knows.
             job_id = next_job_id()
             while job_id in self.jobs:
                 job_id = next_job_id()
@@ -557,6 +580,7 @@ class ExperimentService:
         if job is None:
             return False, "unknown job"
         if self.queue.cancel(job_id) is not None:
+            self._retain()
             return True, "cancelled"
         return False, f"job is {job.state}, not queued"
 
@@ -626,6 +650,7 @@ class ExperimentService:
         with trace_context(trace_id=spec.trace_id, job_id=job.id,
                            tenant=spec.tenant):
             self._run_job_in_context(job)
+        self._retain()
 
     def _run_job_in_context(self, job: Job) -> None:
         spec = job.spec
@@ -709,7 +734,11 @@ class ExperimentService:
             job.transition(JOB_FAILED, error=job.error)
             add_counter("service.jobs_failed")
             self._log.warning("job.failed", error=job.error)
-        self.prune_store()
+        config = self.config
+        if (config.store_max_bytes is not None
+                or config.store_max_entries is not None
+                or config.store_max_age_s is not None):
+            self.prune_store()  # a pass with no bound would evict nothing
 
     def _store_profile(self, job: Job,
                        profiler: SamplingProfiler) -> None:
@@ -1108,28 +1137,69 @@ class ServiceServer:
 
         ``since`` is what lets a reconnecting follower resume where its
         dropped connection left off instead of re-reading (and
-        re-yielding) the whole history.
+        re-yielding) the whole history.  A follower parks until the job
+        appends an event, which wakes it: it clears its wake flag
+        before each snapshot, so an append between the snapshot and the
+        wait is never missed.  After ``FOLLOW_KEEPALIVE_S`` with nothing
+        sent it writes a blank line.
         """
-        writer.write(_stream_head())
         sent = max(0, since)
-        while True:
-            with job.lock:
-                fresh = [event for event in job.events
-                         if event["seq"] >= sent]
-                terminal = job.terminal
-            for event in fresh:
-                writer.write(
-                    (json.dumps(json_safe(event), sort_keys=True)
-                     + "\n").encode("utf-8"))
-            if fresh:
-                sent = fresh[-1]["seq"] + 1
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                return
-            if not follow or terminal:
-                return
-            await asyncio.sleep(0.05)
+        loop = asyncio.get_running_loop()
+        wake = asyncio.Event()
+        waker = _waker(loop, wake)
+        if follow:
+            job.follow(waker)
+        try:
+            writer.write(_stream_head())
+            quiet_since = loop.time()
+            while True:
+                wake.clear()
+                with job.lock:
+                    fresh = [event for event in job.events
+                             if event["seq"] >= sent]
+                    terminal = job.terminal
+                for event in fresh:
+                    writer.write(
+                        (json.dumps(json_safe(event), sort_keys=True)
+                         + "\n").encode("utf-8"))
+                if fresh:
+                    sent = fresh[-1]["seq"] + 1
+                    quiet_since = loop.time()
+                elif loop.time() - quiet_since >= FOLLOW_KEEPALIVE_S:
+                    writer.write(b"\n")
+                    quiet_since = loop.time()
+                try:
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    return
+                if not follow or terminal:
+                    return
+                try:
+                    await asyncio.wait_for(
+                        wake.wait(), FOLLOW_KEEPALIVE_S
+                        - (loop.time() - quiet_since))
+                except asyncio.TimeoutError:
+                    pass
+        finally:
+            if follow:
+                job.unfollow(waker)
+
+
+def _waker(loop: asyncio.AbstractEventLoop,
+           event: asyncio.Event) -> Callable[[], None]:
+    """``event.set`` on ``loop``, callable from any thread.
+
+    A job calls its followers' wakers on the thread that appends the
+    event (a dispatcher, say).  Once the loop has closed there is no
+    follower left to wake, and the closed loop's error must not reach
+    that thread.
+    """
+    def wake() -> None:
+        try:
+            loop.call_soon_threadsafe(event.set)
+        except RuntimeError:
+            pass  # the loop has closed
+    return wake
 
 
 async def _serve(config: ServiceConfig,

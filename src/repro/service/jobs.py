@@ -33,7 +33,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro import journal
 from repro.errors import ReproError
@@ -280,8 +280,9 @@ class Job:
     #: RunRecord.to_json_dict() per record of the finished sweep.
     records: list[dict] = field(default_factory=list)
     #: zlib-compressed JSON of the finished sweep's results.  A daemon
-    #: keeps every finished job, so the payload is held encoded: a
-    #: several times smaller footprint than its object tree.
+    #: keeps up to twice ``wal_keep_terminal`` finished jobs, so the
+    #: payload is held encoded: a several times smaller footprint than
+    #: its object tree.
     results_blob: bytes | None = None
     interrupted: bool = False
     #: Times this job was requeued after an orphaned/stalled run.
@@ -302,6 +303,10 @@ class Job:
     #: it (assigned by the daemon; None in unit tests).
     wal: Any = None
     lock: threading.Lock = field(default_factory=threading.Lock)
+    #: One waker per follower streaming this job's events, called after
+    #: every appended event (see :meth:`follow`).
+    followers: list[Callable[[], None]] = field(
+        default_factory=list, repr=False, compare=False)
 
     def store_results(self, results: Any) -> None:
         """Keep the finished sweep's results, json-safe and compressed."""
@@ -314,12 +319,33 @@ class Job:
             return None
         return json.loads(zlib.decompress(self.results_blob))
 
+    def follow(self, wake: Callable[[], None]) -> None:
+        """Call ``wake`` once per event appended from now on.
+
+        ``wake`` runs on the appending thread, after the event is in
+        ``events``; it must be quick and must not raise.
+        """
+        with self.lock:
+            self.followers.append(wake)
+
+    def unfollow(self, wake: Callable[[], None]) -> None:
+        with self.lock:
+            if wake in self.followers:
+                self.followers.remove(wake)
+
     def add_event(self, kind: str, **data: Any) -> dict:
         """Record one lifecycle/progress event (thread-safe)."""
         with self.lock:
             event = self._keep_event(kind, data)
-        self.event_log.append(event)
+            followers = tuple(self.followers)
+        self._publish(event, followers)
         return event
+
+    def _publish(self, event: dict, followers: tuple) -> None:
+        """Wake the followers, then log the event to the job's file."""
+        for wake in followers:
+            wake()
+        self.event_log.append(event)
 
     def _keep_event(self, kind: str, data: dict) -> dict:
         """Append one event to ``events``; the caller holds ``lock``."""
@@ -358,7 +384,8 @@ class Job:
             if "reason" in data:
                 self.reason = data["reason"]
             event = self._keep_event(state, data)
-        self.event_log.append(event)
+            followers = tuple(self.followers)
+        self._publish(event, followers)
 
     def queue_wait_s(self) -> float | None:
         if self.started_at is None:

@@ -29,16 +29,20 @@ not).
 
 :meth:`JobWAL.compact` atomically and durably rewrites the journal down
 to the live set (plus a bounded tail of terminal stubs) so the WAL does
-not grow without bound across restarts.  It is the one retention rule
-for a job's state: the per-job files next to the WAL (event log,
-profile) of every job it drops are deleted with it.
+not grow without bound.  It is the one retention rule for a job's
+state: the per-job files next to the WAL (event log, profile) of every
+job it drops are deleted with it, and a live daemon drops the same jobs
+from its job table.  Appends and compaction share one lock, so a record
+appended while a compaction reads and rewrites the journal waits and
+lands in the new journal.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro import journal
 from repro.errors import ReproError
@@ -130,6 +134,10 @@ class JobWAL:
         #: Appends that failed at the OS level (counted, never raised:
         #: a read-only state dir must degrade durability, not service).
         self.write_errors = 0
+        #: Terminal jobs in the journal: set by each compaction, then
+        #: counted up by every terminal ``state`` record appended.
+        self.terminal = 0
+        self._lock = threading.Lock()
 
     def job_file(self, job_id: str, suffix: str) -> Path:
         """Path of one of a job's per-job files (see ``JOB_FILE_SUFFIXES``)."""
@@ -138,13 +146,16 @@ class JobWAL:
     # -- appends ------------------------------------------------------
 
     def _append(self, record: dict) -> bool:
-        try:
-            journal.append(self.path, [journal.encode(record)],
-                           durable=True)
-        except OSError:
-            self.write_errors += 1
-            add_counter("wal.write_errors")
-            return False
+        with self._lock:
+            try:
+                journal.append(self.path, [journal.encode(record)],
+                               durable=True)
+            except OSError:
+                self.write_errors += 1
+                add_counter("wal.write_errors")
+                return False
+            if record.get("state") in TERMINAL_STATES:
+                self.terminal += 1
         return True
 
     def log_submit(self, job_id: str, spec: JobSpec,
@@ -215,18 +226,32 @@ class JobWAL:
 
     # -- compaction ---------------------------------------------------
 
-    def compact(self, entries: Iterable[WalEntry], *,
-                keep_terminal: int = 256) -> int:
-        """Atomically rewrite the journal down to the given entries.
+    def compact(self, *, keep_terminal: int = 256,
+                on_drop: Callable[[list[str]], None] | None = None) -> int:
+        """Atomically rewrite the journal down to one record pair per job.
 
-        Live (non-terminal) entries are always kept; terminal stubs are
-        capped at the ``keep_terminal`` most recent so the WAL stays
-        bounded across restarts.  Each kept entry becomes one submit
-        line plus (when not freshly queued) one state line; each
-        dropped entry's per-job files are deleted once the new journal
-        is in place.  Returns the number of entries written; on any I/O
-        error the existing journal and every file are left untouched.
+        The journal's records are replayed and rewritten under the
+        append lock: no append can land between that read and the
+        rewrite, so none is lost.  Live (non-terminal) entries are
+        always kept; terminal stubs are capped at the ``keep_terminal``
+        most recent by arrival (a negative cap keeps them all).  Each
+        kept entry becomes one submit line plus (when not freshly
+        queued) one state line.  Once the new journal is in place,
+        still under the lock, ``on_drop`` gets the dropped job ids and
+        each dropped entry's per-job files are deleted.  Returns the
+        number of entries written; on any I/O error the existing
+        journal and every file are left untouched.
         """
+        with self._lock:
+            try:
+                entries = self.replay().entries.values()
+            except ReproError:
+                return 0
+            return self._rewrite(entries, keep_terminal, on_drop)
+
+    def _rewrite(self, entries: Iterable[WalEntry], keep_terminal: int,
+                 on_drop: Callable[[list[str]], None] | None) -> int:
+        """:meth:`compact`'s work; the caller holds the append lock."""
         ordered = sorted(entries, key=lambda entry: entry.arrival)
         terminal = [entry for entry in ordered if entry.terminal]
         dropped = (terminal[:max(0, len(terminal) - keep_terminal)]
@@ -250,6 +275,9 @@ class JobWAL:
             self.write_errors += 1
             add_counter("wal.write_errors")
             return 0
+        self.terminal = len(terminal) - len(dropped)
+        if dropped and on_drop is not None:
+            on_drop([entry.job_id for entry in dropped])
         for entry in dropped:
             for suffix in JOB_FILE_SUFFIXES:
                 try:

@@ -20,7 +20,7 @@ from repro.engine.records import RunJournal, RunRecord
 from repro.obs import configure_logging, get_logger, reset_logging
 from repro.obs.log import LOG_LEVEL_ENV, LOG_PATH_ENV
 from repro.service.jobs import JobEventLog, JobSpec
-from repro.service.wal import JobWAL, WalEntry
+from repro.service.wal import JobWAL
 
 #: Any text that UTF-8 can encode, non-ASCII included.
 _TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
@@ -192,15 +192,17 @@ def test_job_wal_golden_bytes(tmp_path, frozen_clock):
 
 def test_wal_compaction_golden_bytes(tmp_path, frozen_clock):
     wal = JobWAL(tmp_path / "service" / "wal.jsonl")
-    kept = wal.compact([
-        WalEntry("j-1", JobSpec(experiment_ids=("E-T1",)), 10.0,
-                 arrival=0),
-        WalEntry("j-2", JobSpec(tenant="bob", idempotency_key="k-2"),
-                 11.0, state="failed", reason="recovery_exhausted",
-                 error="gave up", recovery_attempts=2, arrival=1),
-        WalEntry("j-3", JobSpec(), 12.0, state="queued",
-                 reason="recovered", recovery_attempts=1, arrival=2),
-    ])
+    wal.log_submit("j-1", JobSpec(experiment_ids=("E-T1",)), 10.0)
+    wal.log_submit("j-2", JobSpec(tenant="bob", idempotency_key="k-2"),
+                   11.0)
+    wal.log_state("j-2", "running")
+    wal.log_state("j-2", "failed", reason="recovery_exhausted",
+                  error="gave up", recovery_attempts=2)
+    wal.log_submit("j-3", JobSpec(), 12.0)
+    wal.log_state("j-3", "running")
+    wal.log_state("j-3", "queued", reason="recovered",
+                  recovery_attempts=1)
+    kept = wal.compact()
     assert kept == 3
     assert wal.path.read_text(encoding="utf-8") == (
         '{"job": "j-1", "op": "submit", "spec": '

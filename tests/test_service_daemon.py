@@ -2,17 +2,20 @@
 
 import asyncio
 import json
+import queue
 import socket
 import threading
 import time
 
 import pytest
 
+import repro.service.daemon as service_daemon
 from repro.analysis.experiments import EXPERIMENTS, Experiment
 from repro.errors import ReproError
 from repro.service import (
     BackpressureError,
     ExperimentService,
+    Job,
     JobSpec,
     QueueConfig,
     QueueFullError,
@@ -153,7 +156,7 @@ def test_follow_streams_until_terminal(daemon, monkeypatch):
 def test_terminal_state_waits_for_its_journal_record(daemon, monkeypatch):
     """A transition is journalled before any client sees it, and its
     state and event appear together: while the WAL's ``done`` write is
-    held, the job still reads ``running``, and a follower that polls
+    held, the job still reads ``running``, and a follower that starts
     meanwhile ends its stream on ``done``."""
     _inject(monkeypatch, "E-T1", lambda: 1)
     wal = daemon.service.wal
@@ -175,13 +178,191 @@ def test_terminal_state_waits_for_its_journal_record(daemon, monkeypatch):
         assert held.wait(timeout=30.0)
         assert daemon.client.job(job["id"])["state"] == "running"
         follower.start()
-        time.sleep(0.2)  # several 50 ms polls inside the held write
+        time.sleep(0.2)  # the follower reads inside the held write
     finally:
         release.set()
     follower.join(timeout=30.0)
     assert not follower.is_alive()
     assert collected[-1]["event"] == "done"
     assert daemon.client.job(job["id"])["state"] == "done"
+
+
+class _CountingLock:
+    """``job.lock`` stand-in that counts the holds other threads take."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self._owner = threading.get_ident()
+        self.holds = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        if threading.get_ident() != self._owner:
+            self.holds += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+def _blocked_job(daemon, monkeypatch):
+    """Submit an E-T1 job whose run waits on the returned event."""
+    started, release = threading.Event(), threading.Event()
+
+    def runner():
+        started.set()
+        release.wait(timeout=30.0)
+        return 1
+
+    _inject(monkeypatch, "E-T1", runner)
+    job_id = daemon.client.submit(["E-T1"])["id"]
+    assert started.wait(timeout=10.0)
+    return daemon.service.job(job_id), release
+
+
+def test_parked_follower_wakes_on_each_append_without_polling(
+        daemon, monkeypatch):
+    """A follower parked on a running job takes no snapshot while the
+    job is silent, and each event appended from another thread reaches
+    it: the append wakes it, no timed poll does."""
+    monkeypatch.setattr(service_daemon, "FOLLOW_KEEPALIVE_S", 60.0)
+    job, release = _blocked_job(daemon, monkeypatch)
+    lock = _CountingLock(job.lock)
+    job.lock = lock
+    received = queue.Queue()
+    follower = threading.Thread(target=lambda: [
+        received.put(event)
+        for event in daemon.client.events(job.id, follow=True)])
+    follower.start()
+    try:
+        assert [received.get(timeout=10.0)["event"]
+                for _ in range(2)] == ["queued", "running"]
+        parked = lock.holds
+        time.sleep(0.5)  # ten of the old 50 ms polls
+        assert lock.holds == parked
+        for index in range(20):
+            job.add_event("probe", index=index)
+            event = received.get(timeout=10.0)
+            assert (event["event"], event["index"]) == ("probe", index)
+    finally:
+        release.set()
+        follower.join(timeout=30.0)
+    assert not follower.is_alive()
+    assert [received.get_nowait()["event"]
+            for _ in range(received.qsize())][-1] == "done"
+    assert job.followers == []
+
+
+def test_keepalive_holds_a_silent_follow_past_the_client_timeout(
+        daemon, monkeypatch):
+    """A job that stays silent for longer than the client's read
+    timeout keeps its follow stream: the daemon writes a blank line
+    whenever it has sent nothing for the keepalive period."""
+    monkeypatch.setattr(service_daemon, "FOLLOW_KEEPALIVE_S", 0.2)
+    _inject(monkeypatch, "E-T1", lambda: time.sleep(2.5) or 1)
+    job_id = daemon.client.submit(["E-T1"])["id"]
+    impatient = ServiceClient(daemon.client.base_url, timeout_s=1.0,
+                              retries=0)
+    events = list(impatient.events(job_id, follow=True))
+    assert events[-1]["event"] == "done"
+    assert [event["seq"] for event in events] \
+        == list(range(len(events)))
+
+
+def test_keepalive_notices_a_follower_that_has_gone(daemon, monkeypatch):
+    monkeypatch.setattr(service_daemon, "FOLLOW_KEEPALIVE_S", 0.05)
+    job, release = _blocked_job(daemon, monkeypatch)
+    port = int(daemon.client.base_url.rsplit(":", 1)[1])
+    try:
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10.0) as conn:
+            conn.sendall((f"GET /v1/jobs/{job.id}/events?follow=1 "
+                          "HTTP/1.1\r\nHost: test\r\n\r\n").encode())
+            assert conn.recv(1)  # the stream has begun
+            assert len(job.followers) == 1
+        deadline = time.monotonic() + 10.0
+        while job.followers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert job.followers == []
+        assert not job.terminal
+    finally:
+        release.set()
+
+
+def test_waking_a_follower_after_its_loop_closed_raises_nothing(
+        tmp_path):
+    server = ServiceServer(ExperimentService(ServiceConfig(
+        cache_dir=tmp_path / "store")))
+    job = Job(id="j-1", spec=JobSpec())
+    job.add_event("queued")
+
+    class _Writer:
+        def write(self, data):
+            pass
+
+        async def drain(self):
+            pass
+
+    loop = asyncio.new_event_loop()
+    loop.create_task(server._stream_events(job, _Writer(), follow=True))
+    loop.run_until_complete(asyncio.sleep(0.05))
+    assert len(job.followers) == 1  # parked on the job
+    loop.close()
+    job.add_event("record")  # a dispatcher appending after the loop died
+    job.transition("done")
+    assert job.terminal
+
+
+def test_wait_rides_the_follow_stream(daemon, monkeypatch):
+    """``wait`` follows the events, then fetches the job once: two
+    requests however long the job runs, and a job silent for longer
+    than the client's read timeout is outlasted on keepalives."""
+    monkeypatch.setattr(service_daemon, "FOLLOW_KEEPALIVE_S", 0.2)
+    _inject(monkeypatch, "E-T1", lambda: time.sleep(1.5) or 1)
+    job_id = daemon.client.submit(["E-T1"])["id"]
+    counters = daemon.service.trace.counters
+    before = counters.as_dict()["service.requests"]
+    impatient = ServiceClient(daemon.client.base_url, timeout_s=1.0,
+                              retries=0)
+    final = impatient.wait(job_id, timeout_s=30.0)
+    assert final["state"] == "done"
+    assert final["records"][0]["status"] == "ok"
+    assert counters.as_dict()["service.requests"] - before == 2
+
+
+def test_wait_raises_at_its_deadline(daemon, monkeypatch):
+    """A job still live at the deadline raises ``ServiceError`` then,
+    not at the next keepalive (5 s away)."""
+    job, release = _blocked_job(daemon, monkeypatch)
+    start = time.monotonic()
+    try:
+        with pytest.raises(ServiceError, match="still running"):
+            daemon.client.wait(job.id, timeout_s=0.5)
+        assert time.monotonic() - start < 3.0
+    finally:
+        release.set()
+
+
+def test_jobs_prune_the_store_only_when_a_bound_is_set(tmp_path,
+                                                       monkeypatch):
+    """Shutdown prunes once either way; a finished job prunes only
+    under a store bound, since a pass with none evicts nothing."""
+    _inject(monkeypatch, "E-T1", lambda: 1)
+    for bounds, per_job in (({}, 0), ({"store_max_entries": 100}, 1)):
+        service = ExperimentService(ServiceConfig(
+            port=0, cache_dir=tmp_path / f"store-{per_job}",
+            executor="inline", **bounds))
+        prunes = []
+        prune = service.store.prune
+        monkeypatch.setattr(service.store, "prune",
+                            lambda **kw: prunes.append(kw) or prune(**kw))
+        service.start()
+        try:
+            job, _ = service.submit(JobSpec(experiment_ids=("E-T1",)))
+            _wait_terminal(job)
+        finally:
+            service.stop()
+        assert len(prunes) == per_job + 1
 
 
 def test_backpressure_returns_429(daemon, monkeypatch):
@@ -434,6 +615,10 @@ def test_queued_jobs_cancelled_on_shutdown(daemon, monkeypatch):
     queued = daemon.client.submit(["E-T1"], tenant="b")
     stopper = threading.Thread(target=daemon.stop)
     stopper.start()
+    # release the running job only once the drain has settled the
+    # queued one: released earlier, the dispatcher may pop and finish
+    # the queued job before the shutdown request reaches the service
+    _wait_terminal(daemon.service.job(queued["id"]))
     block.set()
     stopper.join(timeout=30.0)
     assert daemon.service.job(queued["id"]).state == "cancelled"

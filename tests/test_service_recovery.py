@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import journal
 from repro.analysis.experiments import EXPERIMENTS, Experiment
 from repro.engine.cache import CLAIM_SUFFIX, ResultCache
 from repro.errors import ReproError
@@ -295,6 +296,98 @@ def test_compaction_deletes_the_files_of_the_jobs_it_drops(
         == [f"{kept}.events.jsonl", f"{kept}.profile.txt"]
 
 
+def _until(predicate, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate()
+
+
+def test_submit_racing_a_live_compaction_survives_a_restart(
+        tmp_path, monkeypatch):
+    """A submission journalled while a live compaction is rewriting the
+    WAL is in the new journal, so a restarted daemon still knows it."""
+    _inject(monkeypatch, "E-T1", lambda: {"v": 1})
+    service = _service(tmp_path, wal_keep_terminal=2)
+    service.start()
+    held, release = threading.Event(), threading.Event()
+    rewrite = journal.rewrite
+
+    def held_rewrite(path, lines):
+        if not held.is_set():
+            held.set()
+            release.wait(timeout=30.0)
+        rewrite(path, lines)
+
+    monkeypatch.setattr(journal, "rewrite", held_rewrite)
+    racing = []
+    try:
+        for _ in range(4):  # the fourth finished job compacts the WAL
+            job, _ = service.submit(JobSpec(experiment_ids=("E-T1",)))
+            _until(lambda: job.terminal)
+        assert held.wait(timeout=30.0)
+        submitter = threading.Thread(target=lambda: racing.append(
+            service.submit(JobSpec(experiment_ids=("E-T1",)))[0]))
+        submitter.start()
+        submitter.join(timeout=0.5)  # its append races the rewrite
+        release.set()
+        submitter.join(timeout=30.0)
+        _until(lambda: racing and racing[0].terminal)
+
+        report = _wal(tmp_path).replay()
+        assert len(report.entries) == 3  # two kept by the compaction
+        assert report.dangling == 0
+        revived = _service(tmp_path, wal_keep_terminal=2)
+        revived._recover()
+        assert revived.jobs[racing[0].id].state == JOB_DONE
+    finally:
+        release.set()
+        service.stop()
+
+
+def test_live_compaction_bounds_the_job_table(tmp_path, monkeypatch):
+    """With ``wal_keep_terminal=2`` the table holds at most four
+    finished jobs, the WAL holds the same ones, and an evicted job
+    answers as it would after a restart."""
+    _inject(monkeypatch, "E-T1", lambda: {"v": 1})
+    daemon = _start_daemon(tmp_path, wal_keep_terminal=2)
+    service, client = daemon.service, daemon.client
+    try:
+        ids = []
+        for index in range(10):
+            job = client.submit(["E-T1"], idempotency_key=f"key-{index}",
+                                profile=True)
+            assert client.wait(job["id"], timeout_s=30.0)["state"] \
+                == "done"
+            ids.append(job["id"])
+            assert sum(known.terminal
+                       for known in service.list_jobs()) <= 4
+        # the evicted job's key admits a new job; its WAL append also
+        # waits out any compaction still running
+        again = client.submit(["E-T1"], idempotency_key="key-0",
+                              profile=True)
+        assert again["deduplicated"] is False
+        assert again["id"] not in ids
+        client.wait(again["id"], timeout_s=30.0)
+
+        retained = {ids[8], ids[9], again["id"]}
+        assert set(service.jobs) == retained
+        for job_id in ids[:8]:
+            for route in ("", "/events", "/result"):
+                with pytest.raises(ServiceError) as excinfo:
+                    client._request("GET", f"/v1/jobs/{job_id}{route}")
+                assert excinfo.value.status == 404
+        assert sorted(path.name for path
+                      in (tmp_path / "store" / "service").glob("j-*")) \
+            == sorted(f"{job_id}{suffix}" for job_id in retained
+                      for suffix in (".events.jsonl", ".profile.txt"))
+        assert {entry.job_id: entry.state for entry
+                in service.wal.replay().entries.values()} \
+            == {job.id: job.state for job in service.list_jobs()}
+    finally:
+        daemon.stop()
+
+
 # -- admission queue backoff gate -------------------------------------
 
 
@@ -513,7 +606,7 @@ def test_client_retries_connection_errors(monkeypatch):
         backoff=BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
     attempts = []
 
-    def flaky(method, path, payload, headers, stream):
+    def flaky(method, path, payload, headers, stream, timeout_s):
         attempts.append(path)
         if len(attempts) < 3:
             raise ServiceUnavailableError("boom")
@@ -530,7 +623,7 @@ def test_client_gives_up_after_retry_budget(monkeypatch):
         backoff=BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
     attempts = []
 
-    def down(method, path, payload, headers, stream):
+    def down(method, path, payload, headers, stream, timeout_s):
         attempts.append(path)
         raise ServiceUnavailableError("still down")
 
@@ -547,7 +640,7 @@ def test_client_retries_retryable_5xx_not_4xx(monkeypatch):
     script = [ServiceError("down", status=503),
               ServiceError("down", status=502), b'{"ok": true}']
 
-    def next_answer(method, path, payload, headers, stream):
+    def next_answer(method, path, payload, headers, stream, timeout_s):
         answer = script.pop(0)
         if isinstance(answer, Exception):
             raise answer

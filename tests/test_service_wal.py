@@ -3,6 +3,8 @@
 import json
 import os
 import stat
+import sys
+import threading
 
 import pytest
 
@@ -146,7 +148,7 @@ def test_compaction_rewrites_one_record_pair_per_job(wal):
     before = wal.path.read_text(encoding="utf-8").count("\n")
 
     report = wal.replay()
-    kept = wal.compact(report.entries.values())
+    kept = wal.compact()
     assert kept == 1
     after = wal.path.read_text(encoding="utf-8").count("\n")
     assert after < before
@@ -163,7 +165,7 @@ def test_compaction_caps_terminal_history(wal):
         wal.log_state(f"j-{index}", JOB_DONE)
     wal.log_submit("j-live", JobSpec())
 
-    wal.compact(wal.replay().entries.values(), keep_terminal=3)
+    wal.compact(keep_terminal=3)
     report = wal.replay()
     assert "j-live" in report.entries  # live jobs never dropped
     terminal = [entry for entry in report.entries.values()
@@ -176,7 +178,7 @@ def test_compaction_caps_terminal_history(wal):
 
 def test_freshly_queued_jobs_compact_to_submit_only(wal):
     wal.log_submit("j-1", JobSpec())
-    wal.compact(wal.replay().entries.values())
+    wal.compact()
     lines = [json.loads(line) for line
              in wal.path.read_text(encoding="utf-8").splitlines()]
     assert [line["op"] for line in lines] == ["submit"]
@@ -212,5 +214,53 @@ def test_compaction_fsyncs_the_directory_after_the_rename(
 
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
-    assert wal.compact(wal.replay().entries.values()) == 1
+    assert wal.compact() == 1
     assert calls == ["fsync-file", "replace", "fsync-dir"]
+
+
+def test_appends_racing_compactions_lose_no_record(wal):
+    """Four writers journal jobs to completion while a fifth thread
+    compacts over and over: every job ends in the WAL or in a
+    compaction's dropped list, never in neither, and the terminal
+    count matches the journal."""
+    dropped, errors = [], []
+    writing = threading.Event()
+
+    def writer(index):
+        try:
+            for serial in range(40):
+                job_id = f"j-{index}-{serial}"
+                wal.log_submit(job_id, JobSpec())
+                wal.log_state(job_id, JOB_RUNNING)
+                wal.log_state(job_id, JOB_DONE)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    def compactor():
+        while writing.is_set():
+            wal.compact(keep_terminal=5, on_drop=dropped.extend)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writing.set()
+        threads = [threading.Thread(target=writer, args=(index,))
+                   for index in range(4)]
+        compacting = threading.Thread(target=compactor)
+        compacting.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        writing.clear()
+        compacting.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors
+    assert not any(thread.is_alive() for thread in threads + [compacting])
+    report = wal.replay()
+    assert report.dangling == 0
+    assert all(entry.state == JOB_DONE for entry in report.entries.values())
+    assert sorted(dropped + list(report.entries)) == sorted(
+        f"j-{index}-{serial}" for index in range(4) for serial in range(40))
+    assert wal.terminal == len(report.entries)
