@@ -55,7 +55,11 @@ Commands
     Run the experiment service daemon: an HTTP/JSON job API with a
     bounded multi-tenant admission queue, dispatcher threads over the
     execution engine, and the shared result store.  SIGINT/SIGTERM
-    drains in-flight jobs and exits with the interrupted code.
+    drains in-flight jobs and exits with the interrupted code.  Flags
+    set the deployment (address, store, bounds, dispatchers, logs); the
+    watchdog scan, recovery backoff, WAL retention, metrics-history
+    window and profiler interval are constants of
+    :mod:`repro.service.daemon`.
 ``jobs <submit|list|status|events|results|cancel|stats|store|shutdown>``
     Client for a running service: submit a sweep and optionally wait,
     inspect or cancel jobs, stream JSONL events, read service metrics.
@@ -812,13 +816,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store_max_entries=args.store_max_entries,
             store_max_age_s=args.store_max_age,
             stall_timeout_s=args.stall_timeout,
-            watchdog_poll_s=args.watchdog_poll,
             max_recovery_attempts=args.max_recovery_attempts,
             log_path=Path(args.log_path) if args.log_path else None,
             log_level=args.log_level,
-            history_interval_s=args.history_interval,
-            history_capacity=args.history_capacity,
-            profile_interval_s=args.profile_interval,
         )
     except (ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1223,10 +1223,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="watchdog requeues a job whose heartbeat "
                             "is older than S seconds "
                             "(default: %(default)s)")
-    serve.add_argument("--watchdog-poll", type=float, default=0.25,
-                       metavar="S",
-                       help="watchdog scan interval in seconds "
-                            "(default: %(default)s)")
     serve.add_argument("--max-recovery-attempts", type=int, default=3,
                        help="crash/stall requeues per job before it "
                             "fails for good (default: %(default)s)")
@@ -1238,17 +1234,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                        default=None,
                        help="structured-log threshold (default: "
                             "$REPRO_LOG_LEVEL or info)")
-    serve.add_argument("--history-interval", type=float, default=1.0,
-                       metavar="S",
-                       help="metrics-history sampling period "
-                            "(default: %(default)s)")
-    serve.add_argument("--history-capacity", type=int, default=600,
-                       help="metrics-history ring-buffer size "
-                            "(default: %(default)s)")
-    serve.add_argument("--profile-interval", type=float,
-                       default=0.005, metavar="S",
-                       help="sampling period for jobs submitted with "
-                            "--profile (default: %(default)s)")
 
     jobs = subparsers.add_parser(
         "jobs", help="client for a running experiment service")

@@ -11,7 +11,8 @@ The scheduler executes any subset of the experiment registry with
   never reported, which are retried singly;
 * a **process pool** (``jobs`` worker processes, forked on platforms
   that support it so monkeypatched registries propagate, each with its
-  OpenBLAS pools capped at ``usable CPUs // jobs`` threads by
+  OpenBLAS pools capped at ``usable CPUs // (jobs × process-executor
+  sweeps launching workers in this process)`` threads by
   :mod:`repro.engine.cpus`), a
   per-experiment **timeout** that actually kills the worker, and
   **bounded retries** spaced by exponential backoff with deterministic
@@ -75,7 +76,7 @@ import signal as signal_module
 import threading
 import time
 from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
@@ -140,6 +141,33 @@ DEFAULT_CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 EXECUTOR_PROCESS = "process"
 EXECUTOR_INLINE = "inline"
+
+#: Process-executor sweeps launching workers in this process (a service
+#: runs one per busy dispatcher).  The CPUs are the process's, so each
+#: worker launch shares them among every such sweep's workers.  A sweep
+#: counts only while it has tasks to run: one served from the cache
+#: forks nothing and leaves the others' budgets alone.
+_launching_sweeps = 0
+_launching_sweeps_lock = threading.Lock()
+
+
+@contextmanager
+def _launching_sweep():
+    global _launching_sweeps
+    with _launching_sweeps_lock:
+        _launching_sweeps += 1
+    try:
+        yield
+    finally:
+        with _launching_sweeps_lock:
+            _launching_sweeps -= 1
+
+
+def _blas_budget(jobs: int, sweeps: int) -> int:
+    """OpenBLAS threads for one forked worker: the usable CPUs over the
+    ``jobs`` workers of each of ``sweeps`` launching sweeps."""
+    return max(1, usable_cpus() // (jobs * sweeps))
+
 
 #: Phase names that measure waiting rather than work; every other
 #: phase on a record is active time, and the active phases sum to the
@@ -432,11 +460,11 @@ class ExecutionEngine:
         self.journal = (RunJournal(journal_path)
                         if journal_path is not None else None)
         self._fired: list[FiredFault] = []
-        #: OpenBLAS threads per forked worker; None for the inline
-        #: executor, which leaves this process's pools alone.  The
-        #: pools are found at a sweep's first forked launch, so a
-        #: sweep served from the cache never scans for them.
-        self._blas_threads: int | None = None
+        #: OpenBLAS pools forked workers cap at their budget
+        #: (:func:`_blas_budget`).  They are found at a sweep's first
+        #: forked launch, so a sweep served from the cache never scans
+        #: for them; the inline executor leaves this process's pools
+        #: alone.
         self._blas_pools: list[BlasPool] | None = None
         self._interrupted = False
         self._aborted = False
@@ -464,12 +492,7 @@ class ExecutionEngine:
         self._interrupted = False
         self._aborted = False
         self._abort_reason = ""
-        self._blas_threads = (
-            None if self.config.executor == EXECUTOR_INLINE
-            else max(1, usable_cpus() // self.config.jobs))
         self._blas_pools = None
-        budget = ({} if self._blas_threads is None
-                  else {"blas_threads": self._blas_threads})
         records: dict[str, RunRecord] = {}
         results: dict[str, Any] = {}
         metrics = current_metrics()
@@ -484,6 +507,12 @@ class ExecutionEngine:
                 if key in CONTEXT_FIELDS and value is not None)
 
         restore_handlers = self._install_signal_handlers()
+        forked = self.config.executor != EXECUTOR_INLINE
+        # what a worker launched now would get, beside the sweeps
+        # already launching
+        budget = ({"blas_threads": _blas_budget(
+                       self.config.jobs, _launching_sweeps + 1)}
+                  if forked else {})
         try:
             with ExitStack() as stack:
                 if correlate:
@@ -507,7 +536,9 @@ class ExecutionEngine:
                         task.ready_at = time.monotonic()
                         pending.append(task)
 
-                self._dispatch(pending, records, results)
+                with (_launching_sweep() if forked and pending
+                      else nullcontext()):
+                    self._dispatch(pending, records, results)
         finally:
             restore_handlers()
 
@@ -975,7 +1006,8 @@ class ExecutionEngine:
             target=_run_batch,
             args=(ids, child_conn.send, fault),
             kwargs={"blas_pools": self._blas_pools,
-                    "blas_threads": self._blas_threads,
+                    "blas_threads": _blas_budget(self.config.jobs,
+                                                 _launching_sweeps),
                     "traced": tracing_enabled(),
                     "context": context_fields() or None},
             name=f"repro-engine-{ids[0]}",

@@ -43,6 +43,9 @@ TRACE_HEADER = "X-Repro-Trace-Id"
 #: the request.  503 is also what the daemon answers while draining.
 RETRYABLE_STATUSES = frozenset((500, 502, 503, 504))
 
+#: Capped-jitter exponential backoff between retries and reconnects.
+RETRY_BACKOFF = BackoffPolicy(base_s=0.2, max_s=5.0)
+
 
 class ServiceError(ReproError):
     """A request the service answered with an error status."""
@@ -94,12 +97,10 @@ class ServiceClient:
 
     def __init__(self, base_url: str,
                  timeout_s: float = DEFAULT_TIMEOUT_S,
-                 retries: int = 0,
-                 backoff: BackoffPolicy | None = None) -> None:
+                 retries: int = 0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self.retries = retries
-        self.backoff = backoff or BackoffPolicy(base_s=0.2, max_s=5.0)
 
     # -- transport ----------------------------------------------------
 
@@ -162,13 +163,13 @@ class ServiceClient:
             except ServiceUnavailableError:
                 if attempt >= self.retries:
                     raise
-                delay = self.backoff.delay_s(path, attempt + 1)
+                delay = RETRY_BACKOFF.delay_s(path, attempt + 1)
             except ServiceError as exc:
                 if (exc.status not in RETRYABLE_STATUSES
                         or attempt >= self.retries):
                     raise
                 delay = max(
-                    self.backoff.delay_s(path, attempt + 1),
+                    RETRY_BACKOFF.delay_s(path, attempt + 1),
                     float(exc.payload.get("retry_after_s", 0.0)))
             attempt += 1
             time.sleep(delay)
@@ -310,7 +311,7 @@ class ServiceClient:
                         f"event stream for {job_id} dropped: "
                         f"{exc}") from None
                 attempt += 1
-                time.sleep(self.backoff.delay_s(
+                time.sleep(RETRY_BACKOFF.delay_s(
                     f"events:{job_id}", attempt))
 
     def wait(self, job_id: str, *, timeout_s: float = 300.0) -> dict:
@@ -353,5 +354,5 @@ class ServiceClient:
             # the stream dropped or ended early: follow again
             failures += 1
             time.sleep(min(
-                self.backoff.delay_s(f"wait:{job_id}", failures),
+                RETRY_BACKOFF.delay_s(f"wait:{job_id}", failures),
                 max(0.0, deadline - time.monotonic())))

@@ -10,7 +10,12 @@ multi-tenant service.  Architecture, front to back:
 * **Admission** -- submissions pass through the bounded multi-tenant
   :class:`~repro.service.queue.AdmissionQueue`; a full queue answers
   ``429`` with a ``Retry-After`` hint instead of buffering without
-  bound.
+  bound.  The queue admits first, so a refused submission leaves
+  nothing behind; an admitted job is journalled to the WAL and gets
+  its ``queued`` event before any dispatcher may pop it or any client
+  see it.  Submissions and cancels run in the loop's executor, off the
+  event loop, as their WAL appends are fsync'd and may run or wait out
+  a live compaction.
 * **Dispatch** -- worker threads pop jobs in priority order and run
   each through a fresh :class:`~repro.engine.scheduler.ExecutionEngine`
   against the **shared result store**, so a job resubmitted by any
@@ -18,9 +23,12 @@ multi-tenant service.  Architecture, front to back:
   via claim files, not duplicate computation.  Engines run on these
   threads, so they install no signal handlers (an engine does so only
   on the main thread): the daemon owns signal policy.
+* **Recovery** -- a crash orphan found at startup and a run the
+  watchdog found stalled are requeued the same way, with a bounded
+  attempt count and a jittered backoff (:meth:`ExperimentService._requeue`).
 * **Retention** -- the WAL's compaction is the one rule for which
   finished jobs the daemon keeps: it runs once the journal holds twice
-  ``wal_keep_terminal`` terminal jobs, and the jobs it drops leave the
+  ``WAL_KEEP_TERMINAL`` terminal jobs, and the jobs it drops leave the
   job table with it.
 * **Shutdown** -- SIGINT/SIGTERM (or ``POST /v1/shutdown``) stops
   admission (503), cancels queued jobs, drains in-flight ones, prunes
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import threading
@@ -85,8 +94,8 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.log import LEVELS
+from repro.obs.timeseries import DEFAULT_INTERVAL_S
 from repro.service.jobs import (
-    JOB_CANCELLED,
     JOB_DONE,
     JOB_FAILED,
     JOB_QUEUED,
@@ -107,6 +116,7 @@ from repro.service.wal import (
     EVENTS_SUFFIX,
     PROFILE_SUFFIX,
     WAL_FILENAME,
+    WAL_KEEP_TERMINAL,
     JobWAL,
 )
 
@@ -120,6 +130,19 @@ MAX_BODY_BYTES = 1 << 20
 #: notices a follower that has gone.
 FOLLOW_KEEPALIVE_S = 5.0
 
+#: How often the watchdog scans running jobs.
+WATCHDOG_POLL_S = 0.25
+
+#: Jittered exponential backoff between recovery requeues.
+RECOVERY_BACKOFF = BackoffPolicy(base_s=0.5, max_s=30.0)
+
+#: Metrics-history cadence: one sample a second, kept for the
+#: buffer's ten minutes and served on ``GET /metrics/history``.
+HISTORY_INTERVAL_S = DEFAULT_INTERVAL_S
+
+#: Sampling interval of a job's profiler (``submit --profile``).
+PROFILE_INTERVAL_S = 0.005
+
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict",
@@ -130,7 +153,7 @@ _STATUS_TEXT = {
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables for one daemon instance."""
+    """Deployment settings and bounds for one daemon instance."""
 
     host: str = "127.0.0.1"
     port: int = 0                     # 0 = ephemeral, announced on start
@@ -147,28 +170,15 @@ class ServiceConfig:
     #: Watchdog: a running job whose engine reports no progress for
     #: this long is treated as stalled, aborted, and requeued.
     stall_timeout_s: float = 300.0
-    #: How often the watchdog scans running jobs.
-    watchdog_poll_s: float = 0.25
     #: Times an orphaned (crash) or stalled run may be requeued before
     #: the job fails with reason ``recovery_exhausted``.
     max_recovery_attempts: int = 3
-    #: Jittered exponential backoff between recovery requeues.
-    recovery_backoff: BackoffPolicy = field(
-        default_factory=lambda: BackoffPolicy(base_s=0.5, max_s=30.0))
-    #: Terminal jobs retained by WAL compaction, which a live daemon
-    #: runs once the journal holds twice this many.
-    wal_keep_terminal: int = 256
     #: Structured-log sink; ``None`` defaults to
     #: ``<cache_dir>/service/service.log.jsonl``.
     log_path: Path | None = None
     #: Log level (``debug``/``info``/``warning``/``error``); ``None``
     #: defers to ``REPRO_LOG_LEVEL`` (else ``info``).
     log_level: str | None = None
-    #: Metrics-history sampling cadence and window.
-    history_interval_s: float = 1.0
-    history_capacity: int = 600
-    #: Sampling interval for per-job profilers (``submit --profile``).
-    profile_interval_s: float = 0.005
 
     def __post_init__(self) -> None:
         if self.dispatchers < 1:
@@ -179,9 +189,6 @@ class ServiceConfig:
         if self.stall_timeout_s <= 0:
             raise ValueError(
                 f"stall_timeout_s must be > 0, got {self.stall_timeout_s}")
-        if self.watchdog_poll_s <= 0:
-            raise ValueError(
-                f"watchdog_poll_s must be > 0, got {self.watchdog_poll_s}")
         if self.max_recovery_attempts < 0:
             raise ValueError(
                 f"max_recovery_attempts must be >= 0, "
@@ -190,18 +197,6 @@ class ServiceConfig:
             raise ValueError(
                 f"log_level must be one of {sorted(LEVELS)}, "
                 f"got {self.log_level!r}")
-        if self.history_interval_s <= 0:
-            raise ValueError(
-                f"history_interval_s must be > 0, "
-                f"got {self.history_interval_s}")
-        if self.history_capacity < 1:
-            raise ValueError(
-                f"history_capacity must be >= 1, "
-                f"got {self.history_capacity}")
-        if self.profile_interval_s <= 0:
-            raise ValueError(
-                f"profile_interval_s must be > 0, "
-                f"got {self.profile_interval_s}")
 
 
 @dataclass
@@ -234,12 +229,16 @@ class ExperimentService:
         self._jobs_lock = threading.Lock()
         #: idempotency key -> job id, rebuilt from the WAL on startup.
         self._idempotency: dict[str, str] = {}
+        #: Held by a submission from its draining check until its job is
+        #: journalled and dispatchable, and by ``stop`` to start the
+        #: drain: the drain's cancels never reach an unjournalled job.
+        self._submit_lock = threading.Lock()
         self._running: dict[str, _RunningJob] = {}
         self._running_lock = threading.Lock()
         self._work = threading.Event()
         self._draining = threading.Event()
         self._threads: list[threading.Thread] = []
-        self.history = TimeSeriesBuffer(self.config.history_capacity)
+        self.history = TimeSeriesBuffer()
         self._sampler: HistorySampler | None = None
         self._log = get_logger("service.daemon")
         #: Jobs re-admitted by the last startup recovery.
@@ -280,14 +279,15 @@ class ExperimentService:
         self._threads.append(watchdog)
         self._sampler = HistorySampler(
             self._history_sample, self.history,
-            interval_s=self.config.history_interval_s)
+            interval_s=HISTORY_INTERVAL_S)
         self._sampler.start()
 
     def stop(self, *, drain_timeout_s: float = 60.0) -> None:
         """Drain and shut down; idempotent."""
-        if self._draining.is_set():
-            return
-        self._draining.set()
+        with self._submit_lock:
+            if self._draining.is_set():
+                return
+            self._draining.set()
         self._log.info("service.stop", signalled=self.signalled)
         self._work.set()  # wake dispatchers so they observe the drain
         for job in self.queue.pending():
@@ -361,17 +361,16 @@ class ExperimentService:
 
     def _compact(self) -> None:
         """Compact the WAL; the jobs it drops leave the table with it."""
-        self.wal.compact(keep_terminal=self.config.wal_keep_terminal,
+        self.wal.compact(keep_terminal=WAL_KEEP_TERMINAL,
                          on_drop=self._forget)
 
     def _retain(self) -> None:
-        """Compact once the WAL holds twice ``wal_keep_terminal``
+        """Compact once the WAL holds twice ``WAL_KEEP_TERMINAL``
         terminal jobs: the table holds at most that many (plus one per
         other dispatcher finishing a job meanwhile) besides the live
-        jobs, and compaction runs about once per ``wal_keep_terminal``
+        jobs, and compaction runs about once per ``WAL_KEEP_TERMINAL``
         finished jobs."""
-        keep = self.config.wal_keep_terminal
-        if keep >= 0 and self.wal.terminal >= max(1, 2 * keep):
+        if self.wal.terminal >= 2 * WAL_KEEP_TERMINAL:
             self._compact()
 
     def _forget(self, job_ids: list[str]) -> None:
@@ -392,11 +391,10 @@ class ExperimentService:
         Queued jobs are re-admitted in original priority/arrival order
         (``force=True``: they were already acknowledged, backpressure
         does not apply to them twice).  Jobs that were ``running`` when
-        the previous process died are orphans: requeued with a bounded
-        ``recovery_attempts`` counter and jittered exponential backoff,
-        or failed with reason ``recovery_exhausted`` once the bound is
-        hit.  Terminal jobs come back as state-only stubs -- their
-        results died with the old process, their outcome did not.
+        the previous process died are orphans, requeued by
+        :meth:`_requeue`.  Terminal jobs come back as state-only stubs
+        -- their results died with the old process, their outcome did
+        not.
         """
         report = self.wal.replay()
         if report.skipped:
@@ -405,7 +403,6 @@ class ExperimentService:
             add_counter("wal.dangling_records", report.dangling)
         if not report.entries:
             return
-        now = time.monotonic()
         ordered = sorted(report.entries.values(),
                          key=lambda entry: entry.arrival)
         for entry in ordered:
@@ -425,44 +422,55 @@ class ExperimentService:
                 if entry.spec.idempotency_key:
                     self._idempotency[entry.spec.idempotency_key] \
                         = job.id
-            if entry.terminal:
-                continue
             if entry.orphaned:
-                attempts = entry.recovery_attempts + 1
-                if attempts > self.config.max_recovery_attempts:
-                    job.error = (
-                        "orphaned run exceeded "
-                        f"{self.config.max_recovery_attempts} recovery "
-                        "attempt(s)")
-                    job.transition(JOB_FAILED,
-                                   reason=REASON_RECOVERY_EXHAUSTED,
-                                   error=job.error)
-                    add_counter("jobs.recovery_exhausted")
-                    add_counter("service.jobs_failed")
-                    self._log.warning(
-                        "recovery.exhausted", job_id=job.id,
-                        trace_id=job.spec.trace_id,
-                        attempts=attempts - 1)
-                    continue
-                job.recovery_attempts = attempts
-                delay = self.config.recovery_backoff.delay_s(
-                    job.id, attempts)
-                job.not_before = now + delay
-                job.transition(JOB_QUEUED, reason=REASON_RECOVERED,
-                               recovery_attempts=attempts,
-                               backoff_s=round(delay, 3))
-                add_counter("jobs.recovered")
-                self.recovered_jobs += 1
-                self._log.info("recovery.requeued", job_id=job.id,
-                               trace_id=job.spec.trace_id,
-                               attempt=attempts,
-                               backoff_s=round(delay, 3))
-            self.queue.submit(job, force=True)
+                if self._requeue(job, REASON_RECOVERED):
+                    add_counter("jobs.recovered")
+                    self.recovered_jobs += 1
+            elif not entry.terminal:
+                self.queue.submit(job, force=True)
         # leases the dead process held will never be released by it
         self.store.cache.sweep_stale_claims()
         self._compact()
-        if self.recovered_jobs or self.queue.depth():
-            self._work.set()
+
+    def _requeue(self, job: Job, reason: str) -> bool:
+        """Requeue a crash orphan (``reason`` ``recovered``) or a
+        stalled run (``stall``) behind a jittered backoff; returns
+        whether it was requeued.
+
+        A job past ``max_recovery_attempts`` fails with reason
+        ``recovery_exhausted``, and a stall while the service drains
+        fails with reason ``stall``.
+        """
+        attempts = job.recovery_attempts + 1
+        limit = self.config.max_recovery_attempts
+        cause = "orphaned" if reason == REASON_RECOVERED else "stalled"
+        if attempts > limit:
+            add_counter("jobs.recovery_exhausted")
+            self._fail(job, f"{cause} run exceeded {limit} recovery "
+                       "attempt(s)", reason=REASON_RECOVERY_EXHAUSTED)
+            return False
+        if self._draining.is_set():
+            self._fail(job, f"{cause} while the service was draining",
+                       reason=reason)
+            return False
+        job.recovery_attempts = attempts
+        delay = round(RECOVERY_BACKOFF.delay_s(job.id, attempts), 3)
+        job.not_before = time.monotonic() + delay
+        job.transition(JOB_QUEUED, reason=reason,
+                       recovery_attempts=attempts, backoff_s=delay)
+        self.queue.submit(job, force=True)
+        self._log.info("job.requeued", job_id=job.id,
+                       trace_id=job.spec.trace_id, reason=reason,
+                       attempt=attempts, backoff_s=delay)
+        return True
+
+    def _fail(self, job: Job, error: str, **data: Any) -> None:
+        """Fail ``job`` with ``error`` (and a ``reason``, if given),
+        counted before the state changes, as a finished job is."""
+        add_counter("service.jobs_failed")
+        job.transition(JOB_FAILED, error=error, **data)
+        self._log.warning("job.failed", job_id=job.id,
+                          trace_id=job.spec.trace_id, error=error, **data)
 
     # -- watchdog -----------------------------------------------------
 
@@ -495,7 +503,7 @@ class ExperimentService:
                     entry.engine.abort(
                         "no progress for "
                         f"{self.config.stall_timeout_s:g} s")
-            self._draining.wait(timeout=self.config.watchdog_poll_s)
+            self._draining.wait(timeout=WATCHDOG_POLL_S)
 
     # -- job submission / lookup --------------------------------------
 
@@ -504,57 +512,51 @@ class ExperimentService:
 
         ``created`` is False when ``spec.idempotency_key`` matched an
         existing job, which is returned instead of admitting a
-        duplicate.  The submission is journalled to the WAL **before**
-        this returns, so an acknowledged job survives a crash.  Raises
-        QueueFullError / ReproError.
+        duplicate.  The queue admits first, so a refused submission
+        (QueueFullError) leaves nothing behind.  An admitted job is
+        journalled to the WAL, so an acknowledged job survives a crash,
+        and gets its ``queued`` event before it enters the table or a
+        dispatcher may pop it: no state record or ``running`` event can
+        precede them.  Raises QueueFullError / ReproError.
         """
-        if self._draining.is_set():
-            raise ReproError("service is shutting down")
         # Mint the correlation id before the WAL sees the spec, so a
         # recovered job keeps the same trace_id across a crash.  Direct
         # submissions (no client-minted id) get a daemon-side one.
         if spec.trace_id is None:
             spec = replace(spec, trace_id=new_trace_id())
-        with self._jobs_lock:
-            key = spec.idempotency_key
-            if key is not None:
-                existing_id = self._idempotency.get(key)
-                existing = (self.jobs.get(existing_id)
-                            if existing_id is not None else None)
+        key = spec.idempotency_key
+        with self._submit_lock:
+            if self._draining.is_set():
+                raise ReproError("service is shutting down")
+            with self._jobs_lock:
+                existing = (self.jobs.get(self._idempotency.get(key))
+                            if key is not None else None)
                 if existing is not None:
                     add_counter("service.idempotent_hits")
                     return existing, False
-            # Ids count per process, so a restarted daemon with the
-            # same pid mints its predecessor's ids again: skip any id
-            # the table (which holds every job the WAL does) knows.
-            job_id = next_job_id()
-            while job_id in self.jobs:
+                # Ids count per process, so a restarted daemon with the
+                # same pid mints its predecessor's ids again: skip any
+                # id the table (which holds every job the WAL does)
+                # knows.
                 job_id = next_job_id()
-            job = Job(id=job_id, spec=spec,
+                while job_id in self.jobs:
+                    job_id = next_job_id()
+            job = Job(id=job_id, spec=spec, not_before=math.inf,
                       event_log=JobEventLog(
                           self.wal.job_file(job_id, EVENTS_SUFFIX)),
                       wal=self.wal)
-            self.jobs[job_id] = job
-            if key is not None:
-                self._idempotency[key] = job_id
-        # Journal and log before admission: a dispatcher may transition
-        # the job the instant it is queued, and neither its state record
-        # nor its ``running`` event may come first.
-        self.wal.log_submit(job_id, spec, job.submitted_at)
-        job.add_event(JOB_QUEUED, tenant=spec.tenant,
-                      priority=spec.priority,
-                      experiments=list(spec.experiment_ids))
-        try:
             self.queue.submit(job)
-        except QueueFullError:
+            # Journalled outside ``_jobs_lock``: a live compaction holds
+            # the WAL's lock while it takes ``_jobs_lock``.
+            self.wal.log_submit(job_id, spec, job.submitted_at)
+            job.add_event(JOB_QUEUED, tenant=spec.tenant,
+                          priority=spec.priority,
+                          experiments=list(spec.experiment_ids))
             with self._jobs_lock:
-                del self.jobs[job_id]
+                self.jobs[job_id] = job
                 if key is not None:
-                    self._idempotency.pop(key, None)
-            self.wal.log_state(job_id, JOB_CANCELLED,
-                               reason="rejected: backpressure")
-            job.event_log.discard()
-            raise
+                    self._idempotency[key] = job_id
+            job.not_before = 0.0  # dispatchable
         self._log.info("job.submit", trace_id=spec.trace_id,
                        job_id=job_id, tenant=spec.tenant,
                        priority=spec.priority,
@@ -618,33 +620,6 @@ class ExperimentService:
                            "job_id": job.id, "tenant": spec.tenant},
         )
 
-    def _requeue_stalled(self, job: Job) -> None:
-        """Requeue a watchdog-stalled job, bounded by recovery limits."""
-        add_counter("jobs.stalled")
-        attempts = job.recovery_attempts + 1
-        if (attempts > self.config.max_recovery_attempts
-                or self._draining.is_set()):
-            job.error = ("stalled run exceeded "
-                         f"{self.config.max_recovery_attempts} "
-                         "recovery attempt(s)"
-                         if not self._draining.is_set()
-                         else "stalled while the service was draining")
-            job.transition(JOB_FAILED,
-                           reason=(REASON_RECOVERY_EXHAUSTED
-                                   if not self._draining.is_set()
-                                   else REASON_STALL),
-                           error=job.error)
-            add_counter("service.jobs_failed")
-            return
-        job.recovery_attempts = attempts
-        delay = self.config.recovery_backoff.delay_s(job.id, attempts)
-        job.not_before = time.monotonic() + delay
-        job.transition(JOB_QUEUED, reason=REASON_STALL,
-                       recovery_attempts=attempts,
-                       backoff_s=round(delay, 3))
-        self.queue.submit(job, force=True)
-        self._work.set()
-
     def _run_job(self, job: Job) -> None:
         spec = job.spec
         with trace_context(trace_id=spec.trace_id, job_id=job.id,
@@ -670,7 +645,7 @@ class ExperimentService:
         entry.engine = engine
         with self._running_lock:
             self._running[job.id] = entry
-        profiler = (SamplingProfiler(self.config.profile_interval_s)
+        profiler = (SamplingProfiler(PROFILE_INTERVAL_S)
                     if spec.profile else None)
         try:
             if profiler is not None:
@@ -678,11 +653,8 @@ class ExperimentService:
             with span("service.job", job=job.id, tenant=spec.tenant,
                       priority=spec.priority):
                 sweep = engine.run(spec.experiment_ids or None)
-        except (ReproError, Exception) as exc:  # job must never kill us
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.transition(JOB_FAILED, error=job.error)
-            add_counter("service.jobs_failed")
-            self._log.error("job.crashed", error=job.error)
+        except Exception as exc:  # a job must never kill its dispatcher
+            self._fail(job, f"{type(exc).__name__}: {exc}")
             return
         finally:
             if profiler is not None:
@@ -706,34 +678,27 @@ class ExperimentService:
         observe("service.job_wall_s", time.monotonic() - now,
                 DURATION_BUCKETS, tenant=spec.tenant)
         if entry.verdict == "deadline":
-            job.error = (f"deadline_s={spec.deadline_s:g} exceeded "
-                         "(run aborted by the watchdog)")
-            job.transition(JOB_FAILED, reason=REASON_DEADLINE,
-                           error=job.error)
             add_counter("jobs.deadline_exceeded")
-            add_counter("service.jobs_failed")
-            self._log.warning("job.deadline_exceeded",
-                              deadline_s=spec.deadline_s)
+            self._fail(job, f"deadline_s={spec.deadline_s:g} exceeded "
+                       "(run aborted by the watchdog)",
+                       reason=REASON_DEADLINE)
         elif entry.verdict == "stall":
-            self._log.warning("job.stalled",
-                              stall_timeout_s=
-                              self.config.stall_timeout_s)
-            self._requeue_stalled(job)
+            add_counter("jobs.stalled")
+            self._requeue(job, REASON_STALL)
         elif sweep.metrics.all_ok:
-            job.transition(JOB_DONE, ok=sweep.metrics.ok,
-                           cache_hits=sweep.metrics.cache_hits)
+            # counted first: a client that saw the job end sees it in
+            # the stats too
             add_counter("service.jobs_done")
             add_counter(f"service.jobs_done.{spec.tenant}")
+            job.transition(JOB_DONE, ok=sweep.metrics.ok,
+                           cache_hits=sweep.metrics.cache_hits)
             self._log.info("job.done", ok=sweep.metrics.ok,
                            cache_hits=sweep.metrics.cache_hits,
                            wall_s=round(job.wall_s() or 0.0, 6))
         else:
             failed = [record.experiment_id for record in sweep.records
                       if not record.ok]
-            job.error = f"{len(failed)} experiment(s) not ok: {failed}"
-            job.transition(JOB_FAILED, error=job.error)
-            add_counter("service.jobs_failed")
-            self._log.warning("job.failed", error=job.error)
+            self._fail(job, f"{len(failed)} experiment(s) not ok: {failed}")
         config = self.config
         if (config.store_max_bytes is not None
                 or config.store_max_entries is not None
@@ -825,23 +790,24 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
                     headers=headers)
 
 
-def _response(status: int, payload: Any, *,
+def _response(status: int, payload: Any = None, *,
+              content_type: str = "application/json",
               headers: dict[str, str] | None = None) -> bytes:
-    body = (json.dumps(json_safe(payload), sort_keys=True) + "\n"
-            ).encode("utf-8")
+    """One HTTP/1.1 answer: the head, then ``payload`` as the body, as
+    is when it is text and JSON-encoded otherwise.  Without a payload
+    it is the head of a stream that the connection's close ends."""
     lines = [f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-             "Content-Type: application/json",
-             f"Content-Length: {len(body)}",
-             "Connection: close"]
+             f"Content-Type: {content_type}"]
+    body = b""
+    if payload is not None:
+        text = (payload if isinstance(payload, str) else
+                json.dumps(json_safe(payload), sort_keys=True) + "\n")
+        body = text.encode("utf-8")
+        lines.append(f"Content-Length: {len(body)}")
+    lines.append("Connection: close")
     for name, value in (headers or {}).items():
         lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-def _stream_head(status: int = 200) -> bytes:
-    return (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            "Content-Type: application/jsonl\r\n"
-            "Connection: close\r\n\r\n").encode("latin-1")
 
 
 class ServiceServer:
@@ -916,18 +882,13 @@ class ServiceServer:
         try:
             try:
                 request = await _read_request(reader)
-            except _BadRequest as exc:
-                writer.write(_response(400, {"error": str(exc)}))
-                return
+                if request is not None:
+                    answer = await self._route(request, writer)
+                    if answer is not None:
+                        writer.write(answer)
             except asyncio.IncompleteReadError:
-                return
-            if request is None:
-                return
-            try:
-                await self._route(request, writer)
-            except _BadRequest as exc:
-                writer.write(_response(400, {"error": str(exc)}))
-            except ReproError as exc:
+                pass
+            except (_BadRequest, ReproError) as exc:
                 writer.write(_response(400, {"error": str(exc)}))
             except Exception as exc:
                 writer.write(_response(
@@ -941,7 +902,9 @@ class ServiceServer:
                 pass
 
     async def _route(self, request: _Request,
-                     writer: asyncio.StreamWriter) -> None:
+                     writer: asyncio.StreamWriter) -> bytes | None:
+        """The answer to ``request``, or None once a route that streams
+        or must act after answering has written its own."""
         service = self.service
         method, path = request.method, request.path
         add_counter("service.requests")
@@ -949,21 +912,19 @@ class ServiceServer:
         if path == "/healthz" and method == "GET":
             with service._running_lock:
                 running = len(service._running)
-            writer.write(_response(200, {
+            return _response(200, {
                 "ok": True,
                 "draining": service.draining,
                 "jobs": len(service.jobs),
                 "queued": service.queue.depth(),
                 "running": running,
                 "recovered": service.recovered_jobs,
-            }))
-            return
+            })
 
         if path == "/v1/jobs" and method == "POST":
             if service.draining:
-                writer.write(_response(
-                    503, {"error": "service is shutting down"}))
-                return
+                return _response(
+                    503, {"error": "service is shutting down"})
             payload = request.json()
             # A client-minted X-Repro-Trace-Id header wins over nothing
             # but never over an explicit spec field.
@@ -972,41 +933,41 @@ class ServiceServer:
                     and not payload.get("trace_id")):
                 payload["trace_id"] = header_trace
             spec = JobSpec.from_json_dict(payload)
-            try:
+
+            def submit() -> dict:
                 job, created = service.submit(spec)
+                answer = job.to_json_dict(include_records=False)
+                answer["deduplicated"] = not created
+                return answer
+
+            try:
+                # in the executor: the submit's fsync'd WAL append, or
+                # a live compaction it waits out, would stall the loop
+                answer = await asyncio.get_running_loop().run_in_executor(
+                    None, submit)
             except QueueFullError as exc:
-                writer.write(_response(
+                return _response(
                     429, {"error": str(exc), "reason": exc.reason,
                           "retry_after_s": exc.retry_after_s},
                     headers={"Retry-After":
-                             f"{max(1, round(exc.retry_after_s))}"}))
-                return
-            payload = job.to_json_dict(include_records=False)
-            payload["deduplicated"] = not created
-            writer.write(_response(202 if created else 200, payload))
-            return
+                             f"{max(1, round(exc.retry_after_s))}"})
+            return _response(200 if answer["deduplicated"] else 202,
+                             answer)
 
         if path == "/v1/jobs" and method == "GET":
             tenant = request.query.get("tenant") or None
-            writer.write(_response(200, {
+            return _response(200, {
                 "jobs": [job.to_json_dict(include_records=False)
-                         for job in service.list_jobs(tenant)]}))
-            return
+                         for job in service.list_jobs(tenant)]})
 
         if path.startswith("/v1/jobs/"):
-            await self._route_job(request, writer)
-            return
+            return await self._route_job(request, writer)
 
         if path == "/v1/stats" and method == "GET":
             if request.query.get("format") == "prom":
-                body = to_prometheus(service.trace.metrics).encode()
-                writer.write(
-                    (f"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
-                     f"Content-Length: {len(body)}\r\n"
-                     "Connection: close\r\n\r\n").encode("latin-1")
-                    + body)
-                return
-            writer.write(_response(200, {
+                return _response(200, to_prometheus(service.trace.metrics),
+                                 content_type="text/plain")
+            return _response(200, {
                 "metrics": registry_summary(service.trace.metrics),
                 "counters": service.trace.counters.as_dict(),
                 "queue": {"depth": service.queue.depth(),
@@ -1018,8 +979,7 @@ class ServiceServer:
                     "max_recovery_attempts":
                         service.config.max_recovery_attempts,
                 },
-            }))
-            return
+            })
 
         if path == "/metrics/history" and method == "GET":
             try:
@@ -1029,51 +989,42 @@ class ServiceServer:
             except ValueError:
                 raise _BadRequest(
                     "since/limit must be integers") from None
-            writer.write(_response(200, {
+            return _response(200, {
                 "samples": service.history.samples(
                     since_seq=since or None, limit=limit),
                 "next_seq": service.history.next_seq(),
                 "evicted": service.history.evicted,
-                "interval_s": service.config.history_interval_s,
-                "capacity": service.config.history_capacity,
-            }))
-            return
+                "interval_s": HISTORY_INTERVAL_S,
+                "capacity": service.history.capacity,
+            })
 
         if path == "/v1/store" and method == "GET":
-            writer.write(_response(
-                200, service.store.stats().to_json_dict()))
-            return
+            return _response(200, service.store.stats().to_json_dict())
 
         if path == "/v1/store/prune" and method == "POST":
-            writer.write(_response(
-                200, service.prune_store().to_json_dict()))
-            return
+            return _response(200, service.prune_store().to_json_dict())
 
         if path == "/v1/shutdown" and method == "POST":
             writer.write(_response(200, {"ok": True,
                                          "stopping": True}))
             await writer.drain()
             self._initiate_stop(False)
-            return
+            return None
 
-        writer.write(_response(404, {
-            "error": f"no route for {method} {path}"}))
+        return _response(404, {"error": f"no route for {method} {path}"})
 
     async def _route_job(self, request: _Request,
-                         writer: asyncio.StreamWriter) -> None:
+                         writer: asyncio.StreamWriter) -> bytes | None:
         service = self.service
         parts = request.path.split("/")  # '', 'v1', 'jobs', id[, sub]
         job_id = parts[3] if len(parts) > 3 else ""
         sub = parts[4] if len(parts) > 4 else None
         job = service.job(job_id)
         if job is None:
-            writer.write(_response(
-                404, {"error": f"unknown job {job_id!r}"}))
-            return
+            return _response(404, {"error": f"unknown job {job_id!r}"})
 
         if sub is None and request.method == "GET":
-            writer.write(_response(200, job.to_json_dict()))
-            return
+            return _response(200, job.to_json_dict())
 
         if sub == "events" and request.method == "GET":
             try:
@@ -1084,26 +1035,26 @@ class ServiceServer:
                 job, writer,
                 follow=request.query.get("follow") in ("1", "true"),
                 since=since)
-            return
+            return None
 
         if sub == "result" and request.method == "GET":
             if not job.terminal:
-                writer.write(_response(409, {
+                return _response(409, {
                     "error": f"job is {job.state}; results are "
-                             "available once it finishes"}))
-                return
-            writer.write(_response(200, {
+                             "available once it finishes"})
+            return _response(200, {
                 "id": job.id, "state": job.state, "error": job.error,
                 "interrupted": job.interrupted,
-                "results": job.results(), "metrics": job.metrics}))
-            return
+                "results": job.results(), "metrics": job.metrics})
 
         if sub == "cancel" and request.method == "POST":
-            ok, reason = service.cancel(job.id)
-            writer.write(_response(
+            # in the executor, as a submit is: the fsync'd state record
+            # and any live compaction it runs or waits out block
+            ok, reason = await asyncio.get_running_loop().run_in_executor(
+                None, service.cancel, job.id)
+            return _response(
                 200 if ok else 409,
-                {"id": job.id, "cancelled": ok, "reason": reason}))
-            return
+                {"id": job.id, "cancelled": ok, "reason": reason})
 
         if sub == "profile" and request.method == "GET":
             text = job.profile_text
@@ -1112,23 +1063,14 @@ class ServiceServer:
                     text = service.wal.job_file(
                         job.id, PROFILE_SUFFIX).read_text(encoding="utf-8")
                 except OSError:
-                    text = None
-            if text is None:
-                writer.write(_response(404, {
-                    "error": (f"job {job.id} has no profile; submit "
-                              "with profile=true and wait for it to "
-                              "finish")}))
-                return
-            body = text.encode("utf-8")
-            writer.write(
-                (f"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
-                 f"Content-Length: {len(body)}\r\n"
-                 "Connection: close\r\n\r\n").encode("latin-1")
-                + body)
-            return
+                    return _response(404, {
+                        "error": (f"job {job.id} has no profile; submit "
+                                  "with profile=true and wait for it to "
+                                  "finish")})
+            return _response(200, text, content_type="text/plain")
 
-        writer.write(_response(405, {
-            "error": f"no route for {request.method} {request.path}"}))
+        return _response(405, {
+            "error": f"no route for {request.method} {request.path}"})
 
     async def _stream_events(self, job: Job,
                              writer: asyncio.StreamWriter,
@@ -1150,7 +1092,7 @@ class ServiceServer:
         if follow:
             job.follow(waker)
         try:
-            writer.write(_stream_head())
+            writer.write(_response(200, content_type="application/jsonl"))
             quiet_since = loop.time()
             while True:
                 wake.clear()

@@ -240,14 +240,6 @@ class JobEventLog:
         except OSError:
             pass  # event files are best-effort observability
 
-    def discard(self) -> None:
-        """Delete the event file (a submission the queue refused)."""
-        if self.path is not None:
-            try:
-                self.path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
     def replay(self) -> tuple[list[dict], int]:
         """Read back the event file, tolerating a torn final line.
 
@@ -280,7 +272,7 @@ class Job:
     #: RunRecord.to_json_dict() per record of the finished sweep.
     records: list[dict] = field(default_factory=list)
     #: zlib-compressed JSON of the finished sweep's results.  A daemon
-    #: keeps up to twice ``wal_keep_terminal`` finished jobs, so the
+    #: keeps up to twice ``WAL_KEEP_TERMINAL`` finished jobs, so the
     #: payload is held encoded: a several times smaller footprint than
     #: its object tree.
     results_blob: bytes | None = None
@@ -364,9 +356,10 @@ class Job:
         """Move to ``state`` and log the transition event.
 
         The WAL record is written first, so no client sees a state the
-        journal does not hold yet.  The state, its timestamp and its
-        event then change in one ``lock`` hold, so whoever sees a
-        terminal state also sees the terminal event.
+        journal does not hold yet.  The state, its timestamp, any
+        ``reason`` or ``error`` in ``data`` and the event then change in
+        one ``lock`` hold, so whoever sees a terminal state also sees
+        the terminal event.
         """
         if state not in JOB_STATES:
             raise ReproError(f"unknown job state {state!r}")
@@ -383,6 +376,8 @@ class Job:
                 self.finished_at = wall_now()
             if "reason" in data:
                 self.reason = data["reason"]
+            if "error" in data:
+                self.error = data["error"]
             event = self._keep_event(state, data)
             followers = tuple(self.followers)
         self._publish(event, followers)

@@ -56,6 +56,10 @@ OP_STATE = "state"
 #: Default file name under the service state directory.
 WAL_FILENAME = "wal.jsonl"
 
+#: Terminal jobs a compaction keeps; a live daemon compacts once the
+#: journal holds twice this many.
+WAL_KEEP_TERMINAL = 256
+
 #: Per-job files next to the WAL, named ``<job id><suffix>``.
 EVENTS_SUFFIX = ".events.jsonl"
 PROFILE_SUFFIX = ".profile.txt"
@@ -226,7 +230,7 @@ class JobWAL:
 
     # -- compaction ---------------------------------------------------
 
-    def compact(self, *, keep_terminal: int = 256,
+    def compact(self, *, keep_terminal: int = WAL_KEEP_TERMINAL,
                 on_drop: Callable[[list[str]], None] | None = None) -> int:
         """Atomically rewrite the journal down to one record pair per job.
 

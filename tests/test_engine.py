@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro.engine import (
 )
 from repro.engine.cache import ensure_dir
 from repro.engine.cpus import cap_blas_threads, openblas_pools, usable_cpus
+import repro.engine.scheduler as scheduler
 from repro.engine.scheduler import WAIT_PHASES
 from repro.errors import ReproError
 from repro.obs import (
@@ -462,6 +464,71 @@ def test_forked_worker_blas_pools_capped_at_cpu_share(tmp_path,
     probe = sweep.results["E-BLAS"]
     assert probe["pools"] == {name: 1 for name in _blas_pools()}
     assert probe["threads"] == 1
+
+
+def test_concurrent_forked_sweeps_split_the_blas_budget(tmp_path,
+                                                        monkeypatch):
+    """Sweeps running at once share the CPUs: a worker launched while
+    another process-executor sweep runs gets usable // (jobs x 2)
+    threads, and a lone sweep keeps usable // jobs."""
+    budgets = []  # in each worker: the budget its pools were capped at
+    monkeypatch.setattr(scheduler, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(scheduler, "cap_blas_threads",
+                        lambda pools, threads: budgets.append(threads)
+                        or {})
+    started, release = tmp_path / "started", tmp_path / "release"
+
+    def held():
+        started.touch()
+        deadline = time.monotonic() + 30.0
+        while not release.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return {"budget": budgets[-1]}
+
+    _inject(monkeypatch, "E-HELD", held)
+    _inject(monkeypatch, "E-PROBE", lambda: {"budget": budgets[-1]})
+
+    def budget_of(experiment_id, where):
+        sweep = run_experiments([experiment_id], config=_config(
+            tmp_path / where, jobs=2, cache_enabled=False))
+        return sweep.results[experiment_id]["budget"]
+
+    assert budget_of("E-PROBE", "alone") == 4
+    held_budget = []
+    holder = threading.Thread(
+        target=lambda: held_budget.append(budget_of("E-HELD", "held")))
+    holder.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists()
+        assert budget_of("E-PROBE", "beside") == 2
+    finally:
+        release.touch()
+        holder.join(timeout=60.0)
+    assert not holder.is_alive()
+    assert held_budget == [4]  # launched while it ran alone
+    assert budget_of("E-PROBE", "after") == 4
+
+
+def test_a_sweep_served_from_the_cache_leaves_the_budget_alone(
+        tmp_path, monkeypatch):
+    """Only a sweep with tasks to launch counts against the others'
+    BLAS budgets: a warm sweep forks nothing."""
+    launching = []  # (tasks to launch, sweeps counted) per dispatch
+    dispatch = ExecutionEngine._dispatch
+
+    def spy(self, pending, records, results):
+        launching.append((len(pending), scheduler._launching_sweeps))
+        return dispatch(self, pending, records, results)
+
+    monkeypatch.setattr(ExecutionEngine, "_dispatch", spy)
+    config = _config(tmp_path)
+    assert run_experiments(["E-T1"], config=config).all_ok  # cold
+    assert run_experiments(["E-T1"], config=config).all_ok  # warm
+    assert launching == [(1, 1), (0, 0)]
+    assert scheduler._launching_sweeps == 0
 
 
 @needs_openblas

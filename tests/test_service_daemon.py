@@ -343,6 +343,73 @@ def test_wait_raises_at_its_deadline(daemon, monkeypatch):
         release.set()
 
 
+def test_a_blocked_submit_leaves_the_event_loop_free(daemon,
+                                                     monkeypatch):
+    """A submission waiting on the WAL (its fsync, or a live compaction
+    holding the lock) runs off the event loop: ``/healthz`` answers
+    meanwhile."""
+    _inject(monkeypatch, "E-T1", lambda: 1)
+    service = daemon.service
+    submitted = []
+    with service.wal._lock:
+        poster = threading.Thread(target=lambda: submitted.append(
+            daemon.client.submit(["E-T1"])))
+        poster.start()
+        deadline = time.monotonic() + 5.0
+        while not service.queue.depth() and time.monotonic() < deadline:
+            time.sleep(0.01)  # admitted, now waiting on the WAL
+        start = time.monotonic()
+        health = ServiceClient(daemon.client.base_url, timeout_s=1.0,
+                               retries=0).health()
+        assert time.monotonic() - start < 1.0
+        assert health["ok"] is True
+        assert poster.is_alive()
+    poster.join(timeout=30.0)
+    assert not poster.is_alive()
+    assert daemon.client.wait(submitted[0]["id"],
+                              timeout_s=30.0)["state"] == "done"
+
+
+def test_a_blocked_cancel_leaves_the_event_loop_free(daemon, monkeypatch):
+    """A cancel waits on the WAL for its state record as a submit does
+    for its ``submit`` record, and runs off the event loop too."""
+    started = threading.Event()
+    block = threading.Event()
+
+    def slow_runner():
+        started.set()
+        block.wait(timeout=30.0)
+        return 1
+
+    _inject(monkeypatch, "E-T1", slow_runner)
+    service = daemon.service
+    try:
+        daemon.client.submit(["E-T1"], tenant="a")
+        queued = daemon.client.submit(["E-T1"], tenant="b")
+        assert started.wait(timeout=10.0)
+        answers = []
+        with service.wal._lock:
+            canceller = threading.Thread(target=lambda: answers.append(
+                daemon.client.cancel(queued["id"])))
+            canceller.start()
+            deadline = time.monotonic() + 5.0
+            while service.queue.depth() and time.monotonic() < deadline:
+                time.sleep(0.01)  # dequeued, now waiting on the WAL
+            start = time.monotonic()
+            health = ServiceClient(daemon.client.base_url, timeout_s=1.0,
+                                   retries=0).health()
+            assert time.monotonic() - start < 1.0
+            assert health["ok"] is True
+            assert canceller.is_alive()
+        canceller.join(timeout=30.0)
+        assert not canceller.is_alive()
+        assert answers[0]["cancelled"] is True
+    finally:
+        block.set()
+    assert daemon.client.wait(queued["id"],
+                              timeout_s=5.0)["state"] == "cancelled"
+
+
 def test_jobs_prune_the_store_only_when_a_bound_is_set(tmp_path,
                                                        monkeypatch):
     """Shutdown prunes once either way; a finished job prunes only

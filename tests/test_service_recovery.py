@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import shutil
+import sys
 import threading
 import time
 from pathlib import Path
@@ -24,6 +25,7 @@ from repro.service import (
     JobEventLog,
     JobSpec,
     QueueConfig,
+    QueueFullError,
     REASON_DEADLINE,
     REASON_RECOVERED,
     REASON_RECOVERY_EXHAUSTED,
@@ -34,6 +36,8 @@ from repro.service import (
     ServiceServer,
     ServiceUnavailableError,
 )
+import repro.service.client as service_client
+import repro.service.daemon as service_daemon
 from repro.service.queue import AdmissionQueue
 from repro.service.wal import JobWAL, WAL_FILENAME
 
@@ -76,6 +80,107 @@ def test_submit_is_durable_before_acknowledgment(tmp_path):
     entry = report.entries[job.id]
     assert entry.state == JOB_QUEUED
     assert entry.spec.tenant == "alice"
+
+
+def test_refused_submission_leaves_nothing_behind(tmp_path):
+    """The queue admits before anything is journalled: a submission it
+    refuses never reaches the table, the idempotency map, the WAL or
+    the state dir, and a restarted daemon knows only the admitted
+    job."""
+    service = _service(tmp_path, queue=QueueConfig(max_depth=1))
+    admitted, _ = service.submit(JobSpec(tenant="early"))
+    with pytest.raises(QueueFullError):
+        service.submit(JobSpec(tenant="late", idempotency_key="late"))
+    assert set(service.jobs) == {admitted.id}
+    assert "late" not in service._idempotency
+    assert set(_wal(tmp_path).replay().entries) == {admitted.id}
+    assert service.wal.terminal == 0
+    assert sorted(path.name for path
+                  in (tmp_path / "store" / "service").iterdir()) \
+        == sorted([WAL_FILENAME, f"{admitted.id}.events.jsonl"])
+
+    revived = _service(tmp_path)
+    revived._recover()
+    assert set(revived.jobs) == {admitted.id}
+
+
+def test_concurrent_submits_admit_and_journal_one_job(tmp_path):
+    """Eight threads submit at once to a one-deep queue that no
+    dispatcher drains: one job is admitted and journalled, the others
+    are refused and leave no record."""
+    service = _service(tmp_path, queue=QueueConfig(max_depth=1))
+    barrier = threading.Barrier(8)
+    outcomes = []
+
+    def submit(index):
+        barrier.wait(timeout=10.0)
+        try:
+            outcomes.append(
+                service.submit(JobSpec(tenant=f"t{index}"))[0].id)
+        except QueueFullError as exc:
+            outcomes.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=submit, args=(index,))
+                   for index in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    admitted = [outcome for outcome in outcomes
+                if isinstance(outcome, str)]
+    assert len(admitted) == 1
+    assert sum(isinstance(outcome, QueueFullError)
+               for outcome in outcomes) == 7
+    assert set(service.jobs) == set(admitted)
+    assert set(_wal(tmp_path).replay().entries) == set(admitted)
+    assert service.cancel(admitted[0]) == (True, "cancelled")
+    records, _ = journal.replay(_wal(tmp_path).path, lambda record: record)
+    assert [(record["op"], record["job"]) for record in records] \
+        == [("submit", admitted[0]), ("state", admitted[0])]
+
+
+def test_a_drain_racing_a_submit_cancels_it_once_journalled(
+        tmp_path, monkeypatch):
+    """A drain that starts while a submission waits on its WAL append
+    waits for it, then cancels the job: the ``cancelled`` record follows
+    the ``submit`` record, and no acknowledged job is left queued."""
+    service = _service(tmp_path)
+    entered, proceed = threading.Event(), threading.Event()
+    log_submit = service.wal.log_submit
+
+    def held_log_submit(*args, **kwargs):
+        entered.set()
+        proceed.wait(timeout=30.0)
+        return log_submit(*args, **kwargs)
+
+    monkeypatch.setattr(service.wal, "log_submit", held_log_submit)
+    submitted = []
+    submitter = threading.Thread(target=lambda: submitted.append(
+        service.submit(JobSpec())[0]))
+    stopper = threading.Thread(target=service.stop)
+    submitter.start()
+    try:
+        assert entered.wait(timeout=10.0)
+        stopper.start()
+        time.sleep(0.2)  # a drain that did not wait would cancel now
+    finally:
+        proceed.set()
+    submitter.join(timeout=30.0)
+    stopper.join(timeout=30.0)
+    assert not submitter.is_alive() and not stopper.is_alive()
+    job = submitted[0]
+    assert [event["event"] for event in job.events] \
+        == ["queued", "cancelled"]
+    # a state record journalled before its submit is dropped on replay
+    report = _wal(tmp_path).replay()
+    assert {entry.job_id: entry.state
+            for entry in report.entries.values()} == {job.id: "cancelled"}
 
 
 def test_recover_readmits_queued_jobs_in_order(tmp_path):
@@ -144,14 +249,15 @@ def test_stop_drops_the_log_sink(tmp_path, monkeypatch):
     assert not (tmp_path / "store").exists()
 
 
-def test_recover_requeues_orphan_with_bounded_attempts(tmp_path):
+def test_recover_requeues_orphan_with_bounded_attempts(tmp_path,
+                                                       monkeypatch):
     wal = _wal(tmp_path)
     wal.log_submit("j-orphan", JobSpec())
     wal.log_state("j-orphan", JOB_RUNNING)
 
-    service = _service(
-        tmp_path,
-        recovery_backoff=BackoffPolicy(base_s=0.01, max_s=0.02))
+    monkeypatch.setattr(service_daemon, "RECOVERY_BACKOFF",
+                        BackoffPolicy(base_s=0.01, max_s=0.02))
+    service = _service(tmp_path)
     service._recover()
     job = service.jobs["j-orphan"]
     assert job.state == JOB_QUEUED
@@ -196,15 +302,16 @@ def test_recover_rebuilds_idempotency_map(tmp_path):
     assert dedup.id == job.id
 
 
-def test_recovery_backoff_gates_the_requeued_orphan(tmp_path):
+def test_recovery_backoff_gates_the_requeued_orphan(tmp_path,
+                                                    monkeypatch):
     wal = _wal(tmp_path)
     wal.log_submit("j-orphan", JobSpec())
     wal.log_state("j-orphan", JOB_RUNNING)
 
-    service = _service(
-        tmp_path,
-        recovery_backoff=BackoffPolicy(base_s=30.0, max_s=60.0,
-                                       jitter=0.0))
+    monkeypatch.setattr(service_daemon, "RECOVERY_BACKOFF",
+                        BackoffPolicy(base_s=30.0, max_s=60.0,
+                                      jitter=0.0))
+    service = _service(tmp_path)
     service._recover()
     # the orphan is queued but its backoff window keeps it unpoppable
     assert service.queue.depth() == 1
@@ -286,9 +393,9 @@ def test_restart_with_the_same_pid_mints_fresh_job_ids(tmp_path,
 def test_compaction_deletes_the_files_of_the_jobs_it_drops(
         tmp_path, monkeypatch):
     _inject(monkeypatch, "E-T1", lambda: {"v": 1})
-    _, jobs = _lifetime(tmp_path, monkeypatch, ["a", "b", "c"],
-                        wal_keep_terminal=1)
-    revived, _ = _lifetime(tmp_path, monkeypatch, wal_keep_terminal=1)
+    monkeypatch.setattr(service_daemon, "WAL_KEEP_TERMINAL", 1)
+    _, jobs = _lifetime(tmp_path, monkeypatch, ["a", "b", "c"])
+    revived, _ = _lifetime(tmp_path, monkeypatch)
     kept = jobs[-1].id
     assert set(revived.jobs) == {kept}
     assert sorted(path.name for path
@@ -308,7 +415,8 @@ def test_submit_racing_a_live_compaction_survives_a_restart(
     """A submission journalled while a live compaction is rewriting the
     WAL is in the new journal, so a restarted daemon still knows it."""
     _inject(monkeypatch, "E-T1", lambda: {"v": 1})
-    service = _service(tmp_path, wal_keep_terminal=2)
+    monkeypatch.setattr(service_daemon, "WAL_KEEP_TERMINAL", 2)
+    service = _service(tmp_path)
     service.start()
     held, release = threading.Event(), threading.Event()
     rewrite = journal.rewrite
@@ -337,7 +445,7 @@ def test_submit_racing_a_live_compaction_survives_a_restart(
         report = _wal(tmp_path).replay()
         assert len(report.entries) == 3  # two kept by the compaction
         assert report.dangling == 0
-        revived = _service(tmp_path, wal_keep_terminal=2)
+        revived = _service(tmp_path)
         revived._recover()
         assert revived.jobs[racing[0].id].state == JOB_DONE
     finally:
@@ -350,7 +458,8 @@ def test_live_compaction_bounds_the_job_table(tmp_path, monkeypatch):
     finished jobs, the WAL holds the same ones, and an evicted job
     answers as it would after a restart."""
     _inject(monkeypatch, "E-T1", lambda: {"v": 1})
-    daemon = _start_daemon(tmp_path, wal_keep_terminal=2)
+    monkeypatch.setattr(service_daemon, "WAL_KEEP_TERMINAL", 2)
+    daemon = _start_daemon(tmp_path)
     service, client = daemon.service, daemon.client
     try:
         ids = []
@@ -530,8 +639,8 @@ def _sleeper():
 
 def test_watchdog_fails_job_past_its_deadline(tmp_path, monkeypatch):
     _inject(monkeypatch, "E-T1", _sleeper)
-    daemon = _start_daemon(tmp_path, executor="process",
-                           watchdog_poll_s=0.05)
+    monkeypatch.setattr(service_daemon, "WATCHDOG_POLL_S", 0.05)
+    daemon = _start_daemon(tmp_path, executor="process")
     try:
         job = daemon.client.submit(["E-T1"], deadline_s=0.5,
                                    timeout_s=90.0)
@@ -548,11 +657,12 @@ def test_watchdog_fails_job_past_its_deadline(tmp_path, monkeypatch):
 def test_watchdog_requeues_then_exhausts_a_stalled_job(
         tmp_path, monkeypatch):
     _inject(monkeypatch, "E-T1", _sleeper)
+    monkeypatch.setattr(service_daemon, "WATCHDOG_POLL_S", 0.05)
+    monkeypatch.setattr(service_daemon, "RECOVERY_BACKOFF",
+                        BackoffPolicy(base_s=0.01, max_s=0.02))
     daemon = _start_daemon(
-        tmp_path, executor="process",
-        watchdog_poll_s=0.05, stall_timeout_s=0.5,
-        max_recovery_attempts=1,
-        recovery_backoff=BackoffPolicy(base_s=0.01, max_s=0.02))
+        tmp_path, executor="process", stall_timeout_s=0.5,
+        max_recovery_attempts=1)
     try:
         job = daemon.client.submit(["E-T1"], timeout_s=90.0)
         final = daemon.client.wait(job["id"], timeout_s=60.0)
@@ -581,10 +691,11 @@ def test_stall_requeue_records_reason(tmp_path, monkeypatch):
         return {"never": "reached"}
 
     _inject(monkeypatch, "E-T1", flaky_then_fast)
+    monkeypatch.setattr(service_daemon, "WATCHDOG_POLL_S", 0.05)
+    monkeypatch.setattr(service_daemon, "RECOVERY_BACKOFF",
+                        BackoffPolicy(base_s=0.01, max_s=0.02))
     daemon = _start_daemon(
-        tmp_path, executor="process",
-        watchdog_poll_s=0.05, stall_timeout_s=0.5,
-        recovery_backoff=BackoffPolicy(base_s=0.01, max_s=0.02))
+        tmp_path, executor="process", stall_timeout_s=0.5)
     try:
         job = daemon.client.submit(["E-T1"], timeout_s=90.0)
         final = daemon.client.wait(job["id"], timeout_s=60.0)
@@ -601,9 +712,9 @@ def test_stall_requeue_records_reason(tmp_path, monkeypatch):
 
 
 def test_client_retries_connection_errors(monkeypatch):
-    client = ServiceClient(
-        "http://127.0.0.1:1", retries=2,
-        backoff=BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
+    monkeypatch.setattr(service_client, "RETRY_BACKOFF",
+                        BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
+    client = ServiceClient("http://127.0.0.1:1", retries=2)
     attempts = []
 
     def flaky(method, path, payload, headers, stream, timeout_s):
@@ -618,9 +729,9 @@ def test_client_retries_connection_errors(monkeypatch):
 
 
 def test_client_gives_up_after_retry_budget(monkeypatch):
-    client = ServiceClient(
-        "http://127.0.0.1:1", retries=1,
-        backoff=BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
+    monkeypatch.setattr(service_client, "RETRY_BACKOFF",
+                        BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
+    client = ServiceClient("http://127.0.0.1:1", retries=1)
     attempts = []
 
     def down(method, path, payload, headers, stream, timeout_s):
@@ -634,9 +745,9 @@ def test_client_gives_up_after_retry_budget(monkeypatch):
 
 
 def test_client_retries_retryable_5xx_not_4xx(monkeypatch):
-    client = ServiceClient(
-        "http://127.0.0.1:1", retries=3,
-        backoff=BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
+    monkeypatch.setattr(service_client, "RETRY_BACKOFF",
+                        BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
+    client = ServiceClient("http://127.0.0.1:1", retries=3)
     script = [ServiceError("down", status=503),
               ServiceError("down", status=502), b'{"ok": true}']
 
@@ -663,9 +774,10 @@ def test_client_wait_survives_a_daemon_restart(tmp_path, monkeypatch):
     first = _start_daemon(tmp_path)
     job = first.client.submit(["E-T1"], idempotency_key="restart")
     first.client.wait(job["id"], timeout_s=30.0)
+    monkeypatch.setattr(service_client, "RETRY_BACKOFF",
+                        BackoffPolicy(base_s=0.05, max_s=0.2))
     port_probe = ServiceClient(
-        first.client.base_url, timeout_s=5.0, retries=8,
-        backoff=BackoffPolicy(base_s=0.05, max_s=0.2))
+        first.client.base_url, timeout_s=5.0, retries=8)
     first.stop()
 
     # with the daemon gone, wait() keeps absorbing connection errors
@@ -689,9 +801,11 @@ def test_events_follow_reconnects_across_drops(tmp_path, monkeypatch):
     try:
         job = daemon.client.submit(["E-T1"])
         daemon.client.wait(job["id"], timeout_s=30.0)
+        monkeypatch.setattr(service_client, "RETRY_BACKOFF",
+                            BackoffPolicy(base_s=0.0, max_s=0.0,
+                                          jitter=0.0))
         resilient = ServiceClient(
-            daemon.client.base_url, timeout_s=5.0, retries=3,
-            backoff=BackoffPolicy(base_s=0.0, max_s=0.0, jitter=0.0))
+            daemon.client.base_url, timeout_s=5.0, retries=3)
 
         # sabotage the first stream attempt; the reconnect must
         # resume from the same seq with no loss or duplication

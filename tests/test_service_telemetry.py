@@ -22,6 +22,7 @@ from repro.service import (
     ServiceServer,
     TRACE_HEADER,
 )
+import repro.service.daemon as service_daemon
 from repro.service.wal import JobWAL
 
 
@@ -34,13 +35,14 @@ class _DaemonHandle:
 
 
 @pytest.fixture()
-def daemon(tmp_path):
+def daemon(tmp_path, monkeypatch):
     """Live daemon (inline executor) with telemetry defaults on."""
+    monkeypatch.setattr(service_daemon, "HISTORY_INTERVAL_S", 0.05)
+    monkeypatch.setattr(service_daemon, "PROFILE_INTERVAL_S", 0.002)
     config = ServiceConfig(
         port=0, cache_dir=tmp_path / "store", executor="inline",
         queue=QueueConfig(max_depth=8, max_per_tenant=8),
-        trace_out=tmp_path / "service-trace.json",
-        history_interval_s=0.05, profile_interval_s=0.002)
+        trace_out=tmp_path / "service-trace.json")
     service = ExperimentService(config)
     server = ServiceServer(service)
     ready = threading.Event()
