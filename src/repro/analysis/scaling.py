@@ -117,8 +117,8 @@ def scaling_s4_reuse_sweep() -> dict[str, float]:
     while the sparsity fingerprint stays fixed, so after the first
     (cold) point the preconditioner cache serves the hierarchy back
     and each warm point pays iteration cost only.  ``reuse_speedup``
-    is cold wall-clock over mean warm wall-clock -- the quantity the
-    acceptance criterion bounds at >= 2x.
+    is cold wall-clock over mean warm wall-clock, so a cheaper setup
+    lowers it: about 2x on a 2-vCPU host.
     """
     from repro.pdn.grid import solve_power_grid_2d
     from repro.reliability.precond import PRECONDITIONER_CACHE

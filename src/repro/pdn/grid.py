@@ -17,13 +17,14 @@ Two solvers:
   allowance the calibrated ``CROWDING_FACTOR`` provides, which the
   validation asserts.
 
-Assembly is fully vectorized: both Laplacians are built from NumPy
-index arrays straight into COO/CSR form (no per-node Python loop, no
+Assembly is fully vectorized (no per-node Python loop, no
 ``lil_matrix``), so system construction scales with hardware memory
-bandwidth rather than interpreter overhead.  Entry values are
-identical to the historical per-node assembly -- degree terms are the
-same correctly-rounded ``k * conductance`` products -- so drops match
-the original implementation to within solver round-off (well inside
+bandwidth rather than interpreter overhead.  The strip is assembled
+from COO triplets; the mesh's five-point stencil is written straight
+into CSR arrays, with no triplets to sort.  Entry values are identical
+to the historical per-node assembly -- degree terms are the same
+correctly-rounded ``k * conductance`` products -- so drops match the
+original implementation to within solver round-off (well inside
 1e-9).  The systems are symmetric positive definite, which the guarded
 solve exploits through its preconditioned conjugate-gradient path
 (``spd=True``; see :func:`repro.reliability.guard.guarded_linear_solve`).
@@ -135,39 +136,39 @@ def _mesh_laplacian(n_side: int, rails_per_pitch: int,
     in-bounds neighbour (patch boundaries are symmetry planes), and
     off-diagonal couplings are emitted only between unknown pairs: a
     bump neighbour contributes its diagonal term and nothing else.
+
+    The five-point stencil is written straight into CSR arrays: with
+    row-major numbering a row's columns ascend as ``(ix-1, iy)``,
+    ``(ix, iy-1)``, the diagonal, ``(ix, iy+1)``, ``(ix+1, iy)``.
     """
     coords = np.arange(n_side)
-    ix = coords[:, None].repeat(n_side, axis=1)
-    iy = coords[None, :].repeat(n_side, axis=0)
-    unknown = ~((ix % rails_per_pitch == 0)
-                & (iy % rails_per_pitch == 0))
+    on_rail = coords % rails_per_pitch == 0
+    unknown = ~(on_rail[:, None] & on_rail[None, :])
     n_unknown = int(np.count_nonzero(unknown))
-    row_of = np.full((n_side, n_side), -1, dtype=np.int64)
-    row_of[unknown] = np.arange(n_unknown)
+    # Unknown numbers on a grid padded with one ring of -1 ("no
+    # coupling"), so each stencil neighbour is a shifted slice.
+    row_of = np.full((n_side + 2, n_side + 2), -1, dtype=np.int32)
+    row_of[1:-1, 1:-1][unknown] = np.arange(n_unknown, dtype=np.int32)
+    columns = np.stack((
+        row_of[:-2, 1:-1][unknown],
+        row_of[1:-1, :-2][unknown],
+        row_of[1:-1, 1:-1][unknown],
+        row_of[1:-1, 2:][unknown],
+        row_of[2:, 1:-1][unknown],
+    ), axis=1)
+    coupled = columns >= 0
+    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(coupled, axis=1), out=indptr[1:])
 
-    # Diagonal: conductance per in-bounds neighbour (2..4 of them).
-    degree = ((ix > 0).astype(float) + (ix < n_side - 1)
-              + (iy > 0) + (iy < n_side - 1))
-    rows = [np.arange(n_unknown)]
-    cols = [np.arange(n_unknown)]
-    data = [conductance * degree[unknown]]
-
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        jx, jy = ix + dx, iy + dy
-        in_bounds = unknown & (jx >= 0) & (jx < n_side) \
-            & (jy >= 0) & (jy < n_side)
-        neighbour = np.full((n_side, n_side), -1, dtype=np.int64)
-        neighbour[in_bounds] = row_of[jx[in_bounds], jy[in_bounds]]
-        coupled = neighbour >= 0
-        rows.append(row_of[coupled])
-        cols.append(neighbour[coupled])
-        data.append(np.full(int(np.count_nonzero(coupled)),
-                            -conductance))
-
-    matrix = csr_matrix(
-        (np.concatenate(data),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknown, n_unknown))
+    # Diagonal: conductance per in-bounds neighbour (2..4 of them),
+    # stored after the row's (ix-1, iy) and (ix, iy-1) couplings.
+    per_axis = (coords > 0).astype(float) + (coords < n_side - 1)
+    degree = per_axis[:, None] + per_axis[None, :]
+    data = np.full(int(indptr[-1]), -conductance)
+    data[indptr[:-1] + coupled[:, 0] + coupled[:, 1]] = \
+        conductance * degree[unknown]
+    matrix = csr_matrix((data, columns[coupled], indptr),
+                        shape=(n_unknown, n_unknown))
     return matrix, n_unknown
 
 

@@ -406,6 +406,8 @@ class _CGAttempt:
     """Outcome of one preconditioned-CG attempt."""
 
     x: np.ndarray | None
+    #: ``rel_residual(x)`` as checked, carried so it is computed once.
+    residual: float | None
     iterations: int
     preconditioner: str | None
     setup_reused: bool
@@ -446,7 +448,7 @@ def _try_cg(sparse: Any, rhs: np.ndarray,
         jacobi = jacobi_preconditioner(sparse)
         if jacobi is None:
             # not plausibly SPD; skip straight to direct
-            return _CGAttempt(None, 0, None, False,
+            return _CGAttempt(None, None, 0, None, False,
                               time.monotonic() - setup_start, 0.0)
         operator = LinearOperator(sparse.shape, matvec=jacobi.apply)
     setup_s = time.monotonic() - setup_start
@@ -469,15 +471,17 @@ def _try_cg(sparse: Any, rhs: np.ndarray,
                          rtol=_cg_tolerance(LINEAR_RTOL, n), atol=0.0,
                          maxiter=budget, M=operator, callback=count)
     except Exception:
-        return _CGAttempt(None, iterations, applied, setup_reused,
-                          setup_s, time.monotonic() - solve_start)
+        return _CGAttempt(None, None, iterations, applied,
+                          setup_reused, setup_s,
+                          time.monotonic() - solve_start)
     solve_s = time.monotonic() - solve_start
     x = np.asarray(x, dtype=float)
-    if info == 0 and np.all(np.isfinite(x)) \
-            and rel_residual(x) <= LINEAR_RTOL:
-        return _CGAttempt(x, iterations, applied, setup_reused,
-                          setup_s, solve_s)
-    return _CGAttempt(None, iterations, applied, setup_reused,
+    if info == 0 and np.all(np.isfinite(x)):
+        residual = rel_residual(x)
+        if residual <= LINEAR_RTOL:
+            return _CGAttempt(x, residual, iterations, applied,
+                              setup_reused, setup_s, solve_s)
+    return _CGAttempt(None, None, iterations, applied, setup_reused,
                       setup_s, solve_s)
 
 
@@ -510,7 +514,7 @@ def _guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
         if attempt.x is not None:
             return GuardedSolution(attempt.x, SolveDiagnostics(
                 name=name, method="cg", iterations=cg_iterations,
-                residual=rel_residual(attempt.x),
+                residual=attempt.residual,
                 preconditioner=attempt.preconditioner,
                 setup_reused=attempt.setup_reused,
                 setup_s=attempt.setup_s, solve_s=attempt.solve_s))
@@ -521,12 +525,13 @@ def _guarded_linear_solve(matrix: Any, rhs: np.ndarray, *, name: str,
             warnings.simplefilter("ignore")
             x = spsolve(sparse, rhs)
         x = np.asarray(x, dtype=float)
-        if np.all(np.isfinite(x)) and rel_residual(x) <= LINEAR_RTOL:
-            return GuardedSolution(x, SolveDiagnostics(
-                name=name, method="spsolve",
-                iterations=cg_iterations + 1,
-                residual=rel_residual(x),
-                fallback=FALLBACK_DIRECT if cg_attempted else None))
+        if np.all(np.isfinite(x)):
+            residual = rel_residual(x)
+            if residual <= LINEAR_RTOL:
+                return GuardedSolution(x, SolveDiagnostics(
+                    name=name, method="spsolve",
+                    iterations=cg_iterations + 1, residual=residual,
+                    fallback=FALLBACK_DIRECT if cg_attempted else None))
     except Exception:
         x = None
 

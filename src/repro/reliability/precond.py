@@ -17,10 +17,18 @@ mechanisms that make the large tiers tractable:
   Cholesky factorization.  Matching uses Luby-style deterministic
   hash priorities to break strength ties -- uniform-conductance grids
   have *all-equal* off-diagonals, and naive heaviest-edge matching
-  degenerates to singletons there.  The V(1,1) cycle with symmetric
-  Jacobi smoothing is itself symmetric positive definite, so it is a
-  valid CG preconditioner; iteration counts stay bounded (tens, not
-  thousands) as the mesh densifies.
+  degenerates to singletons there.  Each graph's strength lists are
+  built once, and after the first round only the rows whose choice
+  was just matched propose again: the free set only shrinks, so every
+  other choice stands.  The V(1,1) cycle with symmetric Jacobi
+  smoothing is itself symmetric positive definite, so it is a valid
+  CG preconditioner; iteration counts stay bounded (tens, not
+  thousands) as the mesh densifies.  Each level keeps
+  ``omega * (1 / diag)`` precomputed and the cycle updates its
+  iterate and residual in place, in the operation order of the
+  allocating form, so the hierarchy and every cycle are the same to
+  the last bit as a full rematching and an allocating cycle
+  (``tests/precond_oracle.py``).
 
 * :class:`PreconditionerCache` -- a fork-safe, bounded, in-process
   reuse cache keyed by the matrix **sparsity fingerprint** (shape +
@@ -120,10 +128,10 @@ def jacobi_preconditioner(matrix: Any) -> JacobiPreconditioner | None:
 class _Level:
     """One multilevel hierarchy level above the coarse solve."""
 
-    matrix: Any           # csr, the level's operator
-    inv_diag: np.ndarray  # 1 / diag(matrix)
-    prolongator: Any      # csr, coarse -> this level
-    restrictor: Any       # csr, prolongator.T (precomputed)
+    matrix: Any                 # csr, the level's operator
+    omega_inv_diag: np.ndarray  # JACOBI_OMEGA * (1 / diag(matrix))
+    prolongator: Any            # csr, coarse -> this level
+    restrictor: Any             # csr, prolongator.T (precomputed)
 
 
 @dataclass(frozen=True)
@@ -149,14 +157,21 @@ class MultilevelPreconditioner:
             return cho_solve(self.coarse_factor, rhs)
         level = self.levels[depth]
         # Pre-smooth (one weighted-Jacobi step from the zero guess).
-        x = JACOBI_OMEGA * level.inv_diag * rhs
-        residual = rhs - level.matrix @ x
+        # ``x`` and ``residual`` are updated in place, in the operation
+        # order of the allocating form ``x + omega_inv_diag * (rhs -
+        # A @ x)``, so every value is the same to the last bit.
+        x = level.omega_inv_diag * rhs
+        residual = level.matrix @ x
+        np.subtract(rhs, residual, out=residual)
         # Coarse-grid correction.
         coarse = self._cycle(depth + 1, level.restrictor @ residual)
-        x = x + level.prolongator @ coarse
+        x += level.prolongator @ coarse
         # Post-smooth (adjoint of the pre-smoother: cycle stays SPD).
-        residual = rhs - level.matrix @ x
-        return x + JACOBI_OMEGA * level.inv_diag * residual
+        residual = level.matrix @ x
+        np.subtract(rhs, residual, out=residual)
+        residual *= level.omega_inv_diag
+        x += residual
+        return x
 
 
 @dataclass(frozen=True)
@@ -194,26 +209,62 @@ def _node_priorities(n: int) -> np.ndarray:
     return (hashed >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
-def _row_argmax(strength: np.ndarray, indptr: np.ndarray,
-                counts: np.ndarray, nonempty: np.ndarray,
-                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(first argmax position, row maximum)`` over CSR data.
+def _strength_lists(csr: Any) -> tuple[np.ndarray, ...]:
+    """A graph's matching strengths: one list per row, in CSR order.
 
-    The padded sentinel keeps every ``indptr`` start index (including
-    trailing empty rows at offset nnz) valid for ``reduceat``;
-    empty-row garbage values are masked out right after.
+    ``(indptr, rows, neighbours, strength)``: CSR row pointers, each
+    entry's row, its neighbour, and ``|a_ij|`` scaled by the hash
+    priority of ``j``.  Diagonal entries and explicit zeros are
+    dropped: a row proposes only along an edge of positive strength,
+    so neither could ever be its choice.
     """
-    n = counts.size
-    maxima = np.maximum.reduceat(
-        np.concatenate((strength, [-np.inf])), indptr[:-1])
-    maxima = np.where(nonempty, maxima, -np.inf)
-    is_max = strength == np.repeat(maxima, counts)
-    position = np.flatnonzero(is_max)
-    first = np.full(n, -1, dtype=np.int64)
-    row_of_hit = rows[position]
-    # later hits overwrite earlier ones; reverse so the first wins
-    first[row_of_hit[::-1]] = position[::-1]
-    return first, maxima
+    n = csr.shape[0]
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    keep = (indices != rows) & (data != 0)
+    rows, neighbours = rows[keep], indices[keep]
+    strength = np.abs(data[keep]).astype(float, copy=False)
+    strength *= (1.0 + 1e-6 * _node_priorities(n))[neighbours]
+    kept_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=kept_indptr[1:])
+    return kept_indptr, rows, neighbours, strength
+
+
+def _first_strongest(n: int, rows: np.ndarray, neighbours: np.ndarray,
+                     strength: np.ndarray) -> np.ndarray:
+    """Per row: the neighbour at its first maximum in list order,
+    ``-1`` unless that maximum is positive.
+
+    ``rows`` is non-decreasing, so a row's first hit is the one whose
+    predecessor lies in another row.
+    """
+    maxima = np.full(n, -np.inf)
+    np.maximum.at(maxima, rows, strength)
+    maxima[~(maxima > 0.0)] = np.nan  # equal to nothing: no proposal
+    hits = np.flatnonzero(strength == maxima[rows])
+    row_of_hit = rows[hits]
+    first = np.diff(row_of_hit, prepend=-1) != 0
+    choice = np.full(n, -1, dtype=np.int64)
+    choice[row_of_hit[first]] = neighbours[hits[first]]
+    return choice
+
+
+def _strongest_among(subset: np.ndarray, admitted: np.ndarray,
+                     indptr: np.ndarray, rows: np.ndarray,
+                     neighbours: np.ndarray,
+                     strength: np.ndarray) -> np.ndarray:
+    """:func:`_first_strongest` of the ``subset`` rows, counting only
+    neighbours that ``admitted`` marks."""
+    starts = indptr[subset]
+    counts = indptr[subset + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    position = np.arange(int(counts.sum())) \
+        + np.repeat(starts - offsets, counts)
+    candidates = neighbours[position]
+    return _first_strongest(
+        subset.size, np.repeat(np.arange(subset.size), counts),
+        candidates,
+        np.where(admitted[candidates], strength[position], -np.inf))
 
 
 def _match_pairs(csr: Any) -> np.ndarray:
@@ -221,91 +272,91 @@ def _match_pairs(csr: Any) -> np.ndarray:
 
     Repeated rounds: every still-unmatched node proposes to its
     strongest still-unmatched neighbour (ties broken by hash
-    priority); mutual proposals pair up.  Leftovers join a matched
-    neighbour's aggregate; truly isolated nodes become singletons.
+    priority, then by CSR order); mutual proposals pair up.  The free
+    set only shrinks, so a proposal whose target is still free stands:
+    after the first round only rows whose target was just matched
+    choose again.  Leftovers join a matched neighbour's aggregate;
+    truly isolated nodes become singletons.
     """
     n = csr.shape[0]
-    indptr, indices = csr.indptr, csr.indices
-    counts = np.diff(indptr)
-    nonempty = counts > 0
-    rows = np.repeat(np.arange(n), counts)
-    base = np.abs(csr.data).astype(float, copy=True)
-    base[indices == rows] = -1.0  # never match the diagonal
-    base *= 1.0 + 1e-6 * _node_priorities(n)[indices]
+    graph = _strength_lists(csr)
     aggregate = np.full(n, -1, dtype=np.int64)
-    nodes = np.arange(n)
+    free = np.ones(n, dtype=bool)
+    strongest = _first_strongest(n, *graph[1:])
     next_id = 0
-    for _ in range(MATCH_ROUNDS):
-        available = aggregate < 0
-        if not np.any(available):
-            break
-        strength = np.where(available[indices] & available[rows],
-                            base, -np.inf)
-        first, maxima = _row_argmax(strength, indptr, counts,
-                                    nonempty, rows)
-        strongest = np.full(n, -1, dtype=np.int64)
-        valid = (first >= 0) & (maxima > 0.0)
-        strongest[valid] = indices[first[valid]]
-        partner = np.where(strongest >= 0, strongest, nodes)
-        mutual = (strongest >= 0) & (strongest[partner] == nodes) \
-            & (nodes < partner)
-        pair_lo = nodes[mutual]
+    for round_ in range(MATCH_ROUNDS):
+        proposing = np.flatnonzero(strongest >= 0)
+        if round_:
+            stale = proposing[~free[strongest[proposing]]]
+            strongest[stale] = _strongest_among(stale, free, *graph)
+            proposing = proposing[strongest[proposing] >= 0]
+        target = strongest[proposing]
+        mutual = (strongest[target] == proposing) & (proposing < target)
+        pair_lo, pair_hi = proposing[mutual], target[mutual]
         if pair_lo.size == 0:
             break
         aggregate[pair_lo] = next_id + np.arange(pair_lo.size)
-        aggregate[partner[pair_lo]] = aggregate[pair_lo]
+        aggregate[pair_hi] = aggregate[pair_lo]
         next_id += pair_lo.size
+        free[pair_lo] = free[pair_hi] = False
+        strongest[pair_lo] = strongest[pair_hi] = -1
     # Leftovers join their strongest already-matched neighbour.
-    leftover = aggregate < 0
-    if np.any(leftover):
-        strength = np.where((aggregate >= 0)[indices], base, -np.inf)
-        first, maxima = _row_argmax(strength, indptr, counts,
-                                    nonempty, rows)
-        joins = leftover & (first >= 0) & (maxima > 0.0)
-        aggregate[joins] = aggregate[indices[first[joins]]]
+    leftover = np.flatnonzero(free)
+    if leftover.size:
+        joined = _strongest_among(leftover, ~free, *graph)
+        joins = joined >= 0
+        aggregate[leftover[joins]] = aggregate[joined[joins]]
     rest = np.flatnonzero(aggregate < 0)
     aggregate[rest] = next_id + np.arange(rest.size)
     return aggregate
 
 
 def _tentative_prolongator(aggregate: np.ndarray) -> Any:
-    """Piecewise-constant prolongator with unit-norm columns."""
+    """Piecewise-constant prolongator with unit-norm columns.
+
+    One entry per row, so the CSR arrays are the aggregate ids
+    themselves: no COO sort.
+    """
     from scipy.sparse import csr_matrix
 
     n = aggregate.size
     n_agg = int(aggregate.max()) + 1 if n else 0
     counts = np.bincount(aggregate, minlength=n_agg).astype(float)
     data = 1.0 / np.sqrt(counts[aggregate])
-    return csr_matrix((data, (np.arange(n), aggregate)),
+    return csr_matrix((data, aggregate, np.arange(n + 1)),
                       shape=(n, n_agg))
 
 
-def _coarsen(csr: Any) -> tuple[Any, Any] | None:
-    """One coarsening step: (smoothed P, Galerkin coarse A) or None."""
+def _coarsen(csr: Any, inv_diag: np.ndarray
+             ) -> tuple[Any, Any, Any] | None:
+    """One coarsening step: (smoothed P, its transpose as CSR, Galerkin
+    coarse A) or None."""
     n = csr.shape[0]
+    # Every Galerkin product below converts its middle operand to
+    # CSC; one shared copy does it once per level.
+    csc = csr.tocsc()
     # Compose pairwise matchings on successively paired graphs:
     # PAIR_ROUNDS=3 yields ~8-node aggregates (factor-8 coarsening).
     aggregate = _match_pairs(csr)
     for _ in range(PAIR_ROUNDS - 1):
         tentative = _tentative_prolongator(aggregate)
-        paired = (tentative.T @ csr @ tentative).tocsr()
+        paired = (tentative.T @ csc @ tentative).tocsr()
         aggregate = _match_pairs(paired)[aggregate]
     n_coarse = int(aggregate.max()) + 1
     if n_coarse >= n:  # refused to coarsen; give up on this level
         return None
     tentative = _tentative_prolongator(aggregate)
-    diag = np.asarray(csr.diagonal(), dtype=float)
-    if not np.all(diag > 0.0):
-        return None
     # One Jacobi smoothing pass widens the basis functions, which is
     # what turns plain aggregation into a mesh-size-robust hierarchy.
-    inv_diag = 1.0 / diag
     smoothed = tentative - csr.multiply(inv_diag[:, None]) \
         @ tentative * JACOBI_OMEGA
     smoothed = smoothed.tocsr()
-    coarse = (smoothed.T @ csr @ smoothed).tocsr()
+    # The restrictor's arrays are the CSC form of P, which is what the
+    # last product would otherwise convert P to.
+    restrictor = smoothed.T.tocsr()
+    coarse = (smoothed.T @ csc @ restrictor.T).tocsr()
     coarse.sum_duplicates()
-    return smoothed, coarse
+    return smoothed, restrictor, coarse
 
 
 def build_multilevel(matrix: Any) -> MultilevelPreconditioner | None:
@@ -324,19 +375,21 @@ def build_multilevel(matrix: Any) -> MultilevelPreconditioner | None:
     current = csr
     total_nnz = csr.nnz
     while current.shape[0] > COARSE_MAX_UNKNOWNS \
-            and len(levels) < MAX_LEVELS:
-        step = _coarsen(current)
+            and len(levels) < MAX_LEVELS and np.all(diag > 0.0):
+        inv_diag = 1.0 / diag
+        step = _coarsen(current, inv_diag)
         if step is None:
             break
-        prolongator, coarse = step
+        prolongator, restrictor, coarse = step
         levels.append(_Level(
             matrix=current,
-            inv_diag=1.0 / np.asarray(current.diagonal(), dtype=float),
+            omega_inv_diag=JACOBI_OMEGA * inv_diag,
             prolongator=prolongator,
-            restrictor=prolongator.T.tocsr(),
+            restrictor=restrictor,
         ))
         total_nnz += coarse.nnz
         current = coarse
+        diag = np.asarray(current.diagonal(), dtype=float)
     try:
         coarse_factor = cho_factor(current.toarray())
     except Exception:

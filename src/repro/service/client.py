@@ -71,8 +71,13 @@ class ServiceUnavailableError(ServiceError):
 
 
 def _status_error(exc: urllib.error.HTTPError) -> ServiceError:
-    """The :class:`ServiceError` an error status maps to."""
-    raw = exc.read().decode("utf-8", errors="replace")
+    """The :class:`ServiceError` an error status maps to.
+
+    The error carries the open response; ``with`` closes it however
+    the body read ends.
+    """
+    with exc:
+        raw = exc.read().decode("utf-8", errors="replace")
     try:
         detail = json.loads(raw)
     except json.JSONDecodeError:

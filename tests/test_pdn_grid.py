@@ -115,11 +115,14 @@ class TestVectorizedAssembly:
         assert 0 < grid.mean_drop_v < grid.worst_drop_v
 
     def test_matches_per_node_reference_assembly(self):
-        # The vectorized COO/CSR assembly must reproduce the per-node
-        # lil_matrix construction it replaced to within 1e-9.
+        # The vectorized CSR assembly must reproduce the per-node
+        # lil_matrix construction it replaced: the same entries, and
+        # drops within 1e-9.
         import numpy as np
         from scipy.sparse import lil_matrix
         from scipy.sparse.linalg import spsolve
+
+        from repro.pdn.grid import _mesh_laplacian
 
         density, sheet, width, pitch = 1e6, 0.1, 1e-6, 80e-6
         rails, cells = 4, 2
@@ -148,6 +151,13 @@ class TestVectorizedAssembly:
                     matrix[row, neighbour] -= conductance
         drops = spsolve(matrix.tocsr(), rhs)
 
+        assembled, n_unknown = _mesh_laplacian(n_side, rails, conductance)
+        assert n_unknown == len(index)
+        reference = matrix.tocsr()
+        assert np.array_equal(assembled.indptr, reference.indptr)
+        assert np.array_equal(assembled.indices, reference.indices)
+        assert np.all(assembled.data == reference.data)
+
         result = solve_power_grid_2d(density, sheet, width, pitch,
                                      rails_per_pitch=rails, cells=cells)
         assert result.n_nodes == len(index)
@@ -155,6 +165,30 @@ class TestVectorizedAssembly:
             float(np.max(drops)), abs=1e-9)
         assert result.mean_drop_v == pytest.approx(
             float(np.mean(drops)), abs=1e-9)
+
+    @pytest.mark.parametrize("rails", range(2, 33))
+    def test_csr_stencil_matches_coo_assembly(self, rails):
+        # The direct-CSR stencil against the COO-triplet assembly it
+        # replaced: every array and dtype the same, cells 1-10.
+        import numpy as np
+
+        from repro.pdn.grid import _mesh_laplacian
+        from tests.precond_oracle import mesh_laplacian
+
+        conductance = 1.0 / 2.9e-3
+        for cells in range(1, 11):
+            n_side = rails * cells + 1
+            matrix, n_unknown = _mesh_laplacian(n_side, rails,
+                                                conductance)
+            reference, n_reference = mesh_laplacian(n_side, rails,
+                                                    conductance)
+            assert n_unknown == n_reference
+            assert matrix.shape == reference.shape
+            for name in ("indptr", "indices", "data"):
+                ours, theirs = (getattr(matrix, name),
+                                getattr(reference, name))
+                assert ours.dtype == theirs.dtype, (name, cells)
+                assert np.array_equal(ours, theirs), (name, cells)
 
 
 class TestValidateModel:

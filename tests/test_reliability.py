@@ -302,6 +302,42 @@ def test_guarded_linear_solve_cg_miss_falls_back_to_direct():
     np.testing.assert_allclose(solution.x, expected)
 
 
+class _CountingMatrix:
+    """A CSR matrix that counts the products taken through it.
+
+    The guard solves on ``tocsr()`` (the plain matrix) and checks each
+    candidate with ``matrix @ x``, so ``products`` counts exactly the
+    residual evaluations.
+    """
+
+    def __init__(self, csr):
+        self._csr = csr
+        self.data = csr.data
+        self.products = 0
+
+    def tocsr(self):
+        return self._csr
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self._csr @ x
+
+
+@pytest.mark.parametrize("spd, method", [(True, "cg"), (False, "spsolve")])
+def test_guarded_linear_solve_checks_its_residual_once(spd, method):
+    # Each residual is a full product plus two passes: the value that
+    # passed the check is the one the diagnostics report.
+    plain = _chain_laplacian(400)
+    counting = _CountingMatrix(plain)
+    rhs = np.ones(400)
+    solution = guarded_linear_solve(counting, rhs, name="residual-once",
+                                    spd=spd)
+    assert solution.diagnostics.method == method
+    assert counting.products == 1
+    assert solution.diagnostics.residual \
+        == float(np.max(np.abs(plain @ solution.x - rhs)))
+
+
 # -- chaos harness ----------------------------------------------------
 
 

@@ -7,11 +7,12 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor
 from scipy.sparse import coo_matrix, csr_matrix, identity
 from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
 from repro.errors import CalibrationError
-from repro.reliability import guard
+from repro.reliability import guard, precond
 from repro.reliability.guard import (
     AMG_MIN_UNKNOWNS,
     DENSE_FALLBACK_MAX_BYTES,
@@ -19,12 +20,14 @@ from repro.reliability.guard import (
     guarded_linear_solve,
 )
 from repro.reliability.precond import (
+    JACOBI_OMEGA,
     PRECONDITIONER_CACHE,
     PreconditionerCache,
     build_multilevel,
     jacobi_preconditioner,
     sparsity_fingerprint,
 )
+from tests import precond_oracle
 
 
 def _mesh(rails, cells, conductance=1.0):
@@ -315,3 +318,143 @@ def test_amg_cg_agrees_with_direct_solve(system):
     direct = spsolve(matrix.tocsc(), rhs)
     assert np.max(np.abs(result.x - direct)) \
         <= 1e-8 * np.max(np.abs(direct))
+
+
+# -- fast kernels against their oracles -------------------------------
+
+
+def _build_recording_matches(matrix):
+    """``build_multilevel(matrix)`` plus every graph it matched."""
+    graphs = []
+    match_pairs = precond._match_pairs
+
+    def recording(csr):
+        aggregate = match_pairs(csr)
+        graphs.append((csr, aggregate))
+        return aggregate
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(precond, "_match_pairs", recording)
+        built = build_multilevel(matrix)
+    return built, graphs
+
+
+def _assert_matches_oracle(graphs):
+    assert graphs
+    for csr, aggregate in graphs:
+        assert np.array_equal(aggregate,
+                              precond_oracle.match_pairs(csr)), csr.shape
+
+
+@pytest.fixture(scope="module", params=["E-S1", "E-S4"])
+def experiment_hierarchy(request):
+    """The E-S1 or E-S4 mesh (first sweep point), its hierarchy and
+    every graph matched while building it."""
+    from repro.analysis import scaling
+    from repro.pdn.grid import _mesh_laplacian
+
+    rails, cells = {
+        "E-S1": (scaling.SCALE_RAILS_PER_PITCH, scaling.SCALE_CELLS),
+        "E-S4": (scaling.SWEEP_RAILS_PER_PITCH, scaling.SWEEP_CELLS),
+    }[request.param]
+    _, sheet, width, pitch = scaling._grid_inputs()
+    # solve_power_grid_2d's arithmetic, operation for operation
+    node_pitch = pitch / rails
+    conductance = 1.0 / (sheet * node_pitch / (width / rails))
+    matrix, _ = _mesh_laplacian(rails * cells + 1, rails, conductance)
+    built, graphs = _build_recording_matches(matrix)
+    return matrix, built, graphs
+
+
+@st.composite
+def matching_graphs(draw):
+    """A grounded Laplacian as drawn, with explicit zeros stored in
+    place of some couplings, or with every conductance rounded to an
+    integer (exact ties in the data)."""
+    matrix, _ = draw(grounded_laplacians())
+    variant = draw(st.sampled_from(("drawn", "zeros", "integer")))
+    matrix = matrix.copy()
+    if variant == "zeros":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        rows = np.repeat(np.arange(matrix.shape[0]),
+                         np.diff(matrix.indptr))
+        coupling = np.flatnonzero(matrix.indices != rows)
+        matrix.data[rng.choice(coupling, coupling.size // 5,
+                               replace=False)] = 0.0
+    elif variant == "integer":
+        matrix.data = np.round(matrix.data)
+    return matrix
+
+
+@settings(max_examples=40, deadline=None)
+@given(matching_graphs())
+def test_incremental_matching_equals_full_rematching(matrix):
+    """Every pair round of every level aggregates exactly as the
+    matcher that recomputes all proposals each round."""
+    _, graphs = _build_recording_matches(matrix)
+    _assert_matches_oracle(graphs)
+
+
+def test_exact_strength_ties_go_to_the_first_entry():
+    """Couplings scaled against the hash priorities so that every
+    strength in every row is exactly 1.0: each proposal falls to the
+    tie-break, the first entry in CSR order, in every round."""
+    n = 400
+    factor = 1.0 + 1e-6 * precond._node_priorities(n)
+    value = 1.0 / factor
+    for j in range(n):
+        while value[j] * factor[j] != 1.0:
+            value[j] = np.nextafter(
+                value[j], 2.0 if value[j] * factor[j] < 1.0 else 0.0)
+    rows = np.repeat(np.arange(n), 3)
+    cols = (rows + np.tile([1, -1, 7], n)) % n
+    matrix = csr_matrix(
+        (np.concatenate([-value[cols], np.full(n, 4.0)]),
+         (np.concatenate([rows, np.arange(n)]),
+          np.concatenate([cols, np.arange(n)]))), shape=(n, n))
+    strengths = precond._strength_lists(matrix)[3]
+    assert np.all(strengths == 1.0)
+    _assert_matches_oracle([(matrix, precond._match_pairs(matrix))])
+
+
+def test_incremental_matching_on_experiment_meshes(
+        experiment_hierarchy):
+    _, built, graphs = experiment_hierarchy
+    assert built is not None
+    assert len(graphs) == precond.PAIR_ROUNDS * len(built.levels)
+    _assert_matches_oracle(graphs)
+
+
+def test_hierarchy_arrays_equal_the_earlier_setup(experiment_hierarchy):
+    """Every operator, prolongator and restrictor array, with its
+    dtype, and the smoother scaling of every level."""
+    matrix, built, _ = experiment_hierarchy
+    levels, coarsest, complexity = precond_oracle.build_levels(matrix)
+    assert len(built.levels) == len(levels)
+    for level, (operator, inv_diag, prolongator, restrictor) in zip(
+            built.levels, levels):
+        for ours, theirs in ((level.matrix, operator),
+                             (level.prolongator, prolongator),
+                             (level.restrictor, restrictor)):
+            assert ours.shape == theirs.shape
+            for name in ("indptr", "indices", "data"):
+                assert getattr(ours, name).dtype \
+                    == getattr(theirs, name).dtype
+                assert np.array_equal(getattr(ours, name),
+                                      getattr(theirs, name))
+        assert np.array_equal(level.omega_inv_diag,
+                              JACOBI_OMEGA * inv_diag)
+    assert np.array_equal(built.coarse_factor[0],
+                          cho_factor(coarsest.toarray())[0])
+    assert built.operator_complexity == complexity
+
+
+def test_in_place_cycle_equals_allocating_cycle(experiment_hierarchy):
+    matrix, built, _ = experiment_hierarchy
+    rng = np.random.default_rng(11)
+    for vector in (np.ones(matrix.shape[0]),
+                   rng.standard_normal(matrix.shape[0])):
+        expected = precond_oracle.cycle(built, 0, vector)
+        before = vector.copy()
+        assert np.array_equal(built.apply(vector), expected)
+        assert np.array_equal(vector, before)  # rhs left untouched

@@ -215,7 +215,8 @@ def test_metrics_history_rejects_bad_params(daemon):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(
             daemon.url + "/metrics/history?since=abc", timeout=10.0)
-    assert excinfo.value.code == 400
+    with excinfo.value:  # the error holds the open response
+        assert excinfo.value.code == 400
 
 
 # -- per-job profiles -------------------------------------------------
