@@ -3,15 +3,13 @@
 
 CI gate: after ``python -m repro trace``/``profile`` or a daemon run
 this script confirms the artifact is well-formed before it is
-uploaded.  Four kinds are accepted, auto-detected by default:
+uploaded.  Three kinds are accepted, auto-detected by default:
 
-* **chrome** -- the event list is validated
-  (:func:`repro.obs.validate_chrome_trace`) and the complete-event
-  count is checked against ``--min-spans``;
-* **json** (summary) -- the span list is checked against
-  ``--min-spans`` and the ``metrics`` section (counters, gauges,
-  histogram bounds/counts invariants) is validated with
-  :func:`repro.obs.validate_metrics_payload`;
+* **chrome** -- the trace artifact: its event list is validated
+  (:func:`repro.obs.validate_chrome_trace`), the complete-event
+  count is checked against ``--min-spans``, and its ``metrics`` key
+  (counters, gauges, histogram bounds/counts invariants) is validated
+  with :func:`repro.obs.validate_metrics_payload`;
 * **log** -- a structured JSONL log file: every line must be a JSON
   object with the required record fields
   (:func:`repro.obs.validate_log_records`), with at least
@@ -20,9 +18,10 @@ uploaded.  Four kinds are accepted, auto-detected by default:
   lines, :func:`repro.obs.validate_collapsed`) with at least
   ``--min-stacks`` distinct stacks.
 
-Auto-detection: JSON payloads route to chrome/json as before;
-non-JSON files whose first non-blank line is a JSON object are logs,
-anything else is treated as a collapsed-stack profile.
+Auto-detection: a JSON payload is a trace artifact unless it is a
+single log record; non-JSON files whose first non-blank line is a JSON
+object are logs, anything else is treated as a collapsed-stack
+profile.
 
 Exit 0 when the artifact loads and clears every check; exit 1 with
 the problem list otherwise.
@@ -48,7 +47,7 @@ from repro.obs import (
     validate_metrics_payload,
 )
 
-KINDS = ("auto", "chrome", "json", "log", "profile")
+KINDS = ("auto", "chrome", "log", "profile")
 
 
 def _check_chrome(path, payload, min_spans):
@@ -64,49 +63,25 @@ def _check_chrome(path, payload, min_spans):
         print(f"error: {path}: {len(complete)} complete events, "
               f"need at least {min_spans}", file=sys.stderr)
         return 1
+    metrics = payload.get("metrics") if isinstance(payload, dict) \
+        else None
+    errors = validate_metrics_payload(metrics)
+    if errors:
+        print(f"error: {path}: invalid metrics:", file=sys.stderr)
+        for problem in errors:
+            print(f"  - {problem}", file=sys.stderr)
+        return 1
 
     names = sorted({event["name"] for event in complete})
     lanes = {event["pid"] for event in complete}
     total_us = sum(event["dur"] for event in complete)
     print(f"{path}: {len(complete)} spans across {len(lanes)} "
-          f"process lane(s), {total_us / 1e6:.3f}s recorded")
+          f"process lane(s), {total_us / 1e6:.3f}s recorded; "
+          f"{len(metrics['counters'])} counter(s), "
+          f"{len(metrics['gauges'])} gauge(s), "
+          f"{len(metrics.get('histograms') or [])} histogram series")
     print(f"  span names: {', '.join(names[:10])}"
           + (" ..." if len(names) > 10 else ""))
-    return 0
-
-
-def _check_json_summary(path, payload, min_spans):
-    spans = payload.get("spans")
-    if not isinstance(spans, list):
-        print(f"error: {path}: JSON summary has no spans list",
-              file=sys.stderr)
-        return 1
-    if len(spans) < min_spans:
-        print(f"error: {path}: {len(spans)} spans, need at least "
-              f"{min_spans}", file=sys.stderr)
-        return 1
-    metrics = payload.get("metrics")
-    if metrics is None:
-        print(f"error: {path}: JSON summary has no metrics section",
-              file=sys.stderr)
-        return 1
-    errors = validate_metrics_payload(metrics)
-    if errors:
-        print(f"error: {path}: invalid metrics section:",
-              file=sys.stderr)
-        for problem in errors:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-
-    histograms = metrics.get("histograms", [])
-    print(f"{path}: {len(spans)} spans, "
-          f"{len(metrics.get('counters', {}))} counter(s), "
-          f"{len(metrics.get('gauges', {}))} gauge(s), "
-          f"{len(histograms)} histogram series")
-    names = sorted({entry["name"] for entry in histograms})
-    if names:
-        print(f"  histogram names: {', '.join(names[:10])}"
-              + (" ..." if len(names) > 10 else ""))
     return 0
 
 
@@ -163,16 +138,12 @@ def _check_profile(path, text, min_stacks):
 
 
 def _detect_kind(payload, text):
-    """chrome/json for JSON payloads; log vs profile for line files."""
+    """chrome for JSON payloads; log vs profile for line files."""
     if payload is not None:
-        if isinstance(payload, list) or (
-                isinstance(payload, dict)
-                and "traceEvents" in payload):
-            return "chrome"
         if isinstance(payload, dict) and "event" in payload \
                 and "ts" in payload:
             return "log"  # a one-record JSONL file parses as JSON
-        return "json"
+        return "chrome"
     for line in text.splitlines():
         line = line.strip()
         if line:
@@ -183,8 +154,8 @@ def _detect_kind(payload, text):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Validate a repro observability artifact "
-                    "(Chrome trace, JSON summary, structured JSONL "
-                    "log, or collapsed-stack profile).")
+                    "(trace, structured JSONL log, or collapsed-stack "
+                    "profile).")
     parser.add_argument("trace", type=Path,
                         help="path to the artifact")
     parser.add_argument("--kind", choices=KINDS, default="auto",
@@ -217,21 +188,12 @@ def main(argv=None):
     kind = args.kind
     if kind == "auto":
         kind = _detect_kind(payload, text)
-    if kind in ("chrome", "json") and payload is None:
-        print(f"error: {args.trace}: not valid JSON "
-              f"(required for --kind {kind})", file=sys.stderr)
-        return 1
-
     if kind == "chrome":
-        return _check_chrome(args.trace, payload, args.min_spans)
-    if kind == "json":
-        if not isinstance(payload, dict):
-            print(f"error: {args.trace}: payload is "
-                  f"{type(payload).__name__}, expected a trace "
-                  f"object", file=sys.stderr)
+        if payload is None:
+            print(f"error: {args.trace}: not valid JSON "
+                  f"(required for --kind chrome)", file=sys.stderr)
             return 1
-        return _check_json_summary(args.trace, payload,
-                                   args.min_spans)
+        return _check_chrome(args.trace, payload, args.min_spans)
     if kind == "log":
         return _check_log(args.trace, text, args.min_records)
     return _check_profile(args.trace, text, args.min_stacks)

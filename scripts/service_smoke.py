@@ -165,10 +165,10 @@ def _check_trace_artifact(trace_out: Path, trace_id: str | None,
     except ValueError as exc:
         _fail(problems, f"trace artifact unreadable: {exc}")
         return
-    spans = payload.get("spans") or []
+    spans = [event for event in payload.get("traceEvents") or []
+             if event.get("ph") == "X"]
     tagged = [span for span in spans
-              if (span.get("attributes") or {}).get("trace_id")
-              == trace_id]
+              if (span.get("args") or {}).get("trace_id") == trace_id]
     lanes = {span.get("pid") for span in tagged}
     print(f"trace artifact: {len(tagged)}/{len(spans)} span(s) carry "
           f"{trace_id} across {len(lanes)} process lane(s)")

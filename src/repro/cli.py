@@ -17,24 +17,24 @@ Commands
     ``chaos --service`` instead SIGKILLs a live daemon mid-sweep,
     restarts it over the same state dir, and asserts the recovery
     contract: zero lost jobs, no recomputed keys, bounded requeues.
-``trace [ids...] --out trace.json [--format chrome|json] [--top N]``
-    Run a sweep with the tracing layer active and export the result:
-    a Chrome/Perfetto trace (or a plain-JSON summary), plus a
-    per-phase breakdown table and counter dump on stdout.  Every span
-    of a direct run carries a freshly minted ``trace_id`` (pin it with
-    ``--trace-id``).  ``--in artifact.json`` instead loads a previously
-    written trace (either format) and renders the same breakdown
-    offline; ``--job`` / ``--trace-id`` filter the spans to one job's
-    lanes -- an empty or missing artifact reports "no trace data" and
-    exits 0.
+``trace [ids...] --out trace.json [--top N]``
+    Run a sweep with the tracing layer active and write the trace
+    artifact: Chrome/Perfetto trace events plus the metrics registry
+    under ``metrics``; a per-phase breakdown table and counter dump go
+    to stdout.  Every span of a direct run carries a freshly minted
+    ``trace_id`` (pin it with ``--trace-id``).  ``--in artifact.json``
+    instead reads a written artifact's events and renders the same
+    breakdown offline; ``--job`` / ``--trace-id`` filter the spans to
+    one job's lanes -- an empty or missing artifact reports "no trace
+    data" and exits 0.
 ``stats [ids...] [--format table|prom|json]``
     Run a sweep with metrics active and report the distributions: a
     per-family run-latency table plus histogram, gauge and counter
     summaries (``table``), the Prometheus text exposition format
     (``prom``), or the full registry summary as JSON (``json``).
-    ``--in`` renders a saved registry summary (or a json trace
-    artifact's ``metrics`` section) offline with the same tables;
-    empty/missing payloads exit 0 with "no stats data".
+    ``--in`` renders a trace artifact's ``metrics`` (or a bare
+    registry summary) offline with the same tables; empty/missing
+    payloads exit 0 with "no stats data".
 ``top [--url U] [--once] [--interval S] [--iterations N]``
     Render the daemon's metrics history (the ``/metrics/history``
     ring buffer): queue depth, running jobs, verdict counters, RSS
@@ -72,11 +72,12 @@ Commands
 
 Exit codes
 ----------
-``run-all``, ``trace`` and ``stats``: 0 all experiments ok; 1 partial
-success (some ran, some failed); 2 usage/configuration error; 3 total
-failure (nothing ok); 4 a drain signal (SIGINT/SIGTERM) interrupted
-the sweep -- in-flight experiments finished and were journalled,
-pending ones were cancelled.
+``run-all``, ``trace`` and ``stats`` share their sweep flags and one
+sweep path: 0 all experiments ok; 1 partial success (some ran, some
+failed); 2 usage/configuration error; 3 total failure (nothing ok); 4
+a drain signal (SIGINT/SIGTERM) interrupted the sweep -- in-flight
+experiments finished and were journalled, pending ones were
+cancelled.
 ``chaos``: 0 every recoverable fault absorbed; 1 an unrecoverable
 fault surfaced (by design); 2 usage error; 3 a recoverable fault
 surfaced or results were lost -- a reliability bug.  ``--service``
@@ -96,8 +97,9 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.analysis import EXPERIMENTS, run_experiment
 from repro.analysis.report import render_dict_rows, render_table
@@ -121,8 +123,6 @@ from repro.engine import (
 from repro.errors import ReproError
 from repro.itrs import ITRS_2000
 from repro.obs import (
-    EXPORT_FORMATS,
-    FORMAT_CHROME,
     MetricsRegistry,
     SamplingProfiler,
     Trace,
@@ -130,7 +130,6 @@ from repro.obs import (
     phase_breakdown,
     registry_summary,
     to_prometheus,
-    trace_context,
     tracing,
     write_trace,
 )
@@ -258,8 +257,33 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
              "else min(4, CPUs))")
 
 
-def _cmd_run_all(args: argparse.Namespace) -> int:
-    ids = args.experiment_ids or None
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    """The sweep flags ``run-all``, ``trace`` and ``stats`` share."""
+    parser.add_argument("experiment_ids", nargs="*", metavar="id",
+                        help="experiment ids (default: all)")
+    _add_jobs_argument(parser)
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the result cache")
+    parser.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
+                        help=f"cache directory "
+                             f"(default: {DEFAULT_CACHE_DIR})")
+    parser.add_argument("--timeout", type=float, default=120.0,
+                        help="per-experiment timeout in seconds")
+    parser.add_argument("--retries", type=int, default=0,
+                        help="retries per failing experiment")
+
+
+def _run_sweep(args: argparse.Namespace,
+               report: Callable[[SweepResult], None],
+               trace: Trace | None = None,
+               trace_id: str | None = None) -> int:
+    """Run the sweep the shared flags describe, under ``trace`` when
+    given, then ``report`` it; returns the sweep's exit code.
+
+    A bad flag, a bad ``REPRO_WORKERS`` or an unknown id prints
+    ``error: ...`` and returns 2 before ``report`` runs, so nothing is
+    rendered or written.
+    """
     try:
         config = EngineConfig(
             jobs=_resolve_jobs(args),
@@ -267,27 +291,48 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             retries=args.retries,
             cache_enabled=not args.no_cache,
             cache_dir=Path(args.cache_dir),
+            trace_context=(None if trace_id is None
+                           else {"trace_id": trace_id}),
         )
     except (ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        sweep = run_experiments(ids, config=config)
+        with nullcontext() if trace is None else tracing(trace):
+            sweep = run_experiments(args.experiment_ids or None,
+                                    config=config)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps({
-            "records": [r.to_json_dict() for r in sweep.records],
-            "metrics": sweep.metrics.to_json_dict(),
-        }, indent=2, sort_keys=True))
-    else:
+    report(sweep)
+    return _sweep_exit_code(sweep)
+
+
+def _read_artifact(path: Path, what: str) -> Any:
+    """The JSON payload ``--in`` names, or None after reporting
+    "no <what> data" for a missing or unparseable file."""
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"no {what} data in {path}: {exc}")
+        return None
+
+
+def _cmd_run_all(args: argparse.Namespace) -> int:
+    def report(sweep: SweepResult) -> None:
+        if args.json:
+            print(json.dumps({
+                "records": [r.to_json_dict() for r in sweep.records],
+                "metrics": sweep.metrics.to_json_dict(),
+            }, indent=2, sort_keys=True))
+            return
         print(render_table(
             ["id", "status", "cache", "time [s]", "attempts", "error"],
             _sweep_rows(sweep)))
         print()
         print(sweep.metrics.render())
-    return _sweep_exit_code(sweep)
+
+    return _run_sweep(args, report)
 
 
 def _cmd_chaos_service(args: argparse.Namespace) -> int:
@@ -355,18 +400,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _artifact_spans(payload: Any) -> list[dict]:
-    """Span dicts from either trace artifact format.
-
-    A ``json``-format artifact carries a ``spans`` list directly; a
-    ``chrome`` artifact's complete (``ph=X``) events are mapped back
-    to span dicts (``ts`` and ``dur`` are microseconds there).
-    """
+    """Span dicts from a trace artifact's complete (``ph=X``) events
+    (``ts`` and ``dur`` are microseconds there)."""
     if not isinstance(payload, (dict, list)):
         return []
-    if isinstance(payload, dict) \
-            and isinstance(payload.get("spans"), list):
-        return [span for span in payload["spans"]
-                if isinstance(span, dict)]
     events = (payload.get("traceEvents")
               if isinstance(payload, dict) else payload)
     spans: list[dict] = []
@@ -428,10 +465,8 @@ def _render_span_lanes(spans: list[dict]) -> str:
 def _cmd_trace_artifact(args: argparse.Namespace) -> int:
     """Offline mode: render (and filter) a saved trace artifact."""
     path = Path(args.in_path)
-    try:
-        payload = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"no trace data in {path}: {exc}")
+    payload = _read_artifact(path, "trace")
+    if payload is None:
         return EXIT_ALL_OK
     spans = _artifact_spans(payload)
     if not spans:
@@ -459,51 +494,35 @@ def _cmd_trace_artifact(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.in_path is not None:
         return _cmd_trace_artifact(args)
-    ids = args.experiment_ids or None
-    try:
-        config = EngineConfig(
-            jobs=_resolve_jobs(args),
-            timeout_s=args.timeout,
-            retries=args.retries,
-            cache_enabled=not args.no_cache,
-            cache_dir=Path(args.cache_dir),
-        )
-    except (ValueError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     # Direct runs mint their own correlation id (the daemon mints one
     # per job); every span -- including pool workers' -- carries it.
     trace_id = args.trace_id or new_trace_id()
     trace = Trace("repro-sweep")
-    try:
-        with tracing(trace), trace_context(trace_id=trace_id):
-            sweep = run_experiments(ids, config=config)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_path = write_trace(trace, args.out, format=args.format)
 
-    span_dicts = [span.to_json_dict() for span in trace.spans]
-    filtered = _filter_spans(span_dicts, args.job, None)
-    if len(filtered) != len(span_dicts):
-        print(f"{len(filtered)} of {len(span_dicts)} spans match "
-              f"job_id={args.job}")
-        print()
-    print(render_table(
-        _PHASE_HEADERS,
-        _phase_rows(phase_breakdown(filtered, top=args.top))))
-    counters = trace.counters.as_dict()
-    if counters:
-        print()
+    def report(sweep: SweepResult) -> None:
+        out_path = write_trace(trace, args.out)
+        span_dicts = [span.to_json_dict() for span in trace.spans]
+        filtered = _filter_spans(span_dicts, args.job, None)
+        if len(filtered) != len(span_dicts):
+            print(f"{len(filtered)} of {len(span_dicts)} spans match "
+                  f"job_id={args.job}")
+            print()
         print(render_table(
-            ["counter", "value"],
-            [[name, f"{value:g}"] for name, value in counters.items()]))
-    print()
-    print(sweep.metrics.render())
-    print(f"\ntrace_id {trace_id}")
-    print(f"trace ({args.format}, {len(trace)} spans) "
-          f"written to {out_path}")
-    return _sweep_exit_code(sweep)
+            _PHASE_HEADERS,
+            _phase_rows(phase_breakdown(filtered, top=args.top))))
+        counters = trace.counters.as_dict()
+        if counters:
+            print()
+            print(render_table(
+                ["counter", "value"],
+                [[name, f"{value:g}"]
+                 for name, value in counters.items()]))
+        print()
+        print(sweep.metrics.render())
+        print(f"\ntrace_id {trace_id}")
+        print(f"trace ({len(trace)} spans) written to {out_path}")
+
+    return _run_sweep(args, report, trace, trace_id)
 
 
 STATS_FORMATS = ("table", "prom", "json")
@@ -574,13 +593,11 @@ def _stats_tables(summary: dict) -> str:
 def _cmd_stats_artifact(args: argparse.Namespace) -> int:
     """Offline mode: render a saved metrics summary."""
     path = Path(args.in_path)
-    try:
-        payload = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"no stats data in {path}: {exc}")
+    payload = _read_artifact(path, "stats")
+    if payload is None:
         return EXIT_ALL_OK
-    # Accept a bare registry summary or a json trace artifact (whose
-    # metrics section is one).
+    # Accept a trace artifact (whose metrics key is a registry
+    # summary) or a bare registry summary.
     summary = (payload.get("metrics")
                if isinstance(payload, dict)
                and isinstance(payload.get("metrics"), dict)
@@ -604,35 +621,20 @@ def _cmd_stats_artifact(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.in_path is not None:
         return _cmd_stats_artifact(args)
-    ids = args.experiment_ids or None
-    try:
-        config = EngineConfig(
-            jobs=_resolve_jobs(args),
-            timeout_s=args.timeout,
-            retries=args.retries,
-            cache_enabled=not args.no_cache,
-            cache_dir=Path(args.cache_dir),
-        )
-    except (ValueError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     trace = Trace("repro-stats")
-    try:
-        with tracing(trace):
-            sweep = run_experiments(ids, config=config)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "prom":
-        print(to_prometheus(trace.metrics), end="")
-    elif args.format == "json":
-        print(json.dumps(registry_summary(trace.metrics), indent=2,
-                         sort_keys=True))
-    else:
-        print(_stats_tables(registry_summary(trace.metrics)))
-        print()
-        print(sweep.metrics.render())
-    return _sweep_exit_code(sweep)
+
+    def report(sweep: SweepResult) -> None:
+        if args.format == "prom":
+            print(to_prometheus(trace.metrics), end="")
+        elif args.format == "json":
+            print(json.dumps(registry_summary(trace.metrics), indent=2,
+                             sort_keys=True))
+        else:
+            print(_stats_tables(registry_summary(trace.metrics)))
+            print()
+            print(sweep.metrics.render())
+
+    return _run_sweep(args, report, trace)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -1004,18 +1006,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_parser.add_argument("experiment_id", choices=sorted(EXPERIMENTS))
     run_all = subparsers.add_parser(
         "run-all", help="run many experiments through the engine")
-    run_all.add_argument("experiment_ids", nargs="*", metavar="id",
-                         help="experiment ids (default: all)")
-    _add_jobs_argument(run_all)
-    run_all.add_argument("--no-cache", action="store_true",
-                         help="bypass the result cache")
-    run_all.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
-                         help=f"cache directory "
-                              f"(default: {DEFAULT_CACHE_DIR})")
-    run_all.add_argument("--timeout", type=float, default=120.0,
-                         help="per-experiment timeout in seconds")
-    run_all.add_argument("--retries", type=int, default=0,
-                         help="retries per failing experiment")
+    _add_sweep_arguments(run_all)
     run_all.add_argument("--json", action="store_true",
                          help="emit records + metrics as JSON")
     chaos = subparsers.add_parser(
@@ -1051,24 +1042,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     trace_parser = subparsers.add_parser(
         "trace",
         help="run a traced sweep and export the profile")
-    trace_parser.add_argument("experiment_ids", nargs="*", metavar="id",
-                              help="experiment ids (default: all)")
+    _add_sweep_arguments(trace_parser)
     trace_parser.add_argument("--out", default="trace.json",
                               help="trace output path "
                                    "(default: trace.json)")
-    trace_parser.add_argument("--format", choices=EXPORT_FORMATS,
-                              default=FORMAT_CHROME,
-                              help="chrome (Perfetto-loadable trace "
-                                   "events) or json (summary + spans)")
     trace_parser.add_argument("--top", type=int, default=None,
                               metavar="N",
                               help="show only the N slowest phases")
     trace_parser.add_argument("--in", dest="in_path", default=None,
                               metavar="ARTIFACT",
                               help="render a saved trace artifact "
-                                   "(chrome or json format) instead "
-                                   "of running a sweep; empty or "
-                                   "missing data exits 0")
+                                   "instead of running a sweep; empty "
+                                   "or missing data exits 0")
     trace_parser.add_argument("--job", default=None, metavar="JOB_ID",
                               help="only spans tagged with this "
                                    "job_id (service traces)")
@@ -1076,22 +1061,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                               help="with --in: only spans tagged with "
                                    "this trace_id; live runs: pin the "
                                    "minted correlation id instead")
-    _add_jobs_argument(trace_parser)
-    trace_parser.add_argument("--no-cache", action="store_true",
-                              help="bypass the result cache")
-    trace_parser.add_argument("--cache-dir",
-                              default=str(DEFAULT_CACHE_DIR),
-                              help=f"cache directory "
-                                   f"(default: {DEFAULT_CACHE_DIR})")
-    trace_parser.add_argument("--timeout", type=float, default=120.0,
-                              help="per-experiment timeout in seconds")
-    trace_parser.add_argument("--retries", type=int, default=0,
-                              help="retries per failing experiment")
     stats = subparsers.add_parser(
         "stats",
         help="run a sweep and report metric distributions")
-    stats.add_argument("experiment_ids", nargs="*", metavar="id",
-                       help="experiment ids (default: all)")
+    _add_sweep_arguments(stats)
     stats.add_argument("--format", choices=STATS_FORMATS,
                        default="table",
                        help="table (per-family latency + histogram "
@@ -1099,20 +1072,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                             "exposition), or json (registry summary)")
     stats.add_argument("--in", dest="in_path", default=None,
                        metavar="ARTIFACT",
-                       help="render a saved registry summary (or a "
-                            "json trace artifact's metrics section) "
-                            "instead of running a sweep; empty or "
-                            "missing data exits 0")
-    _add_jobs_argument(stats)
-    stats.add_argument("--no-cache", action="store_true",
-                       help="bypass the result cache")
-    stats.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
-                       help=f"cache directory "
-                            f"(default: {DEFAULT_CACHE_DIR})")
-    stats.add_argument("--timeout", type=float, default=120.0,
-                       help="per-experiment timeout in seconds")
-    stats.add_argument("--retries", type=int, default=0,
-                       help="retries per failing experiment")
+                       help="render a trace artifact's metrics (or a "
+                            "bare registry summary) instead of "
+                            "running a sweep; empty or missing data "
+                            "exits 0")
     bench = subparsers.add_parser(
         "bench",
         help="run the perf-regression benchmark harness")
@@ -1209,8 +1172,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="engine executor for job sweeps "
                             "(default: %(default)s)")
     serve.add_argument("--trace-out", default=None,
-                       help="write the service trace summary here on "
-                            "shutdown (json format)")
+                       help="write the service trace artifact here on "
+                            "shutdown")
     serve.add_argument("--store-max-bytes", type=int, default=None,
                        help="prune the store past this size (LRU)")
     serve.add_argument("--store-max-entries", type=int, default=None,

@@ -33,7 +33,6 @@ path.
 from repro.engine.cache import (
     CacheStats,
     ClaimInfo,
-    DEFAULT_CLAIM_TTL_S,
     ResultCache,
     runner_fingerprint,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "CacheStats",
     "ClaimInfo",
     "DEFAULT_CACHE_DIR",
-    "DEFAULT_CLAIM_TTL_S",
     "EngineConfig",
     "EngineMetrics",
     "ExecutionEngine",

@@ -37,9 +37,11 @@ Claims (cross-process dedup):
 When several processes -- concurrent CLI sweeps, or service jobs from
 different clients -- miss on the same ``(experiment, fingerprint)``
 key, only one should compute it.  A **claim** is an advisory lease on
-an in-flight entry: a ``<entry>.rpc.claim`` file created with
-``O_CREAT | O_EXCL`` (atomic on every platform we care about) holding
-the claimant's pid/host/timestamp.  The scheduler acquires the claim
+an in-flight entry: a ``<entry>.rpc.claim`` file holding the
+claimant's pid/host/timestamp, hard-linked into place from a temp file
+that already holds that body (``link`` fails if the name exists, so
+exactly one claimant wins, and no reader ever sees a claim without its
+body).  The scheduler acquires the claim
 before launching a runner and releases it after the store; a process
 that loses the claim race polls for the stored result instead of
 recomputing.  Claims are *advisory* and crash-tolerant: a claim whose
@@ -74,10 +76,11 @@ ENTRY_MAGIC = b"RPROC2\n"
 #: Suffix appended to an entry path to form its claim (lease) file.
 CLAIM_SUFFIX = ".claim"
 
-#: Age past which a claim is considered abandoned by any waiter.  Two
-#: minutes matches the default per-experiment timeout: a healthy
-#: claimant either stores or releases well within it.
-DEFAULT_CLAIM_TTL_S = 120.0
+#: Age past which a claim is considered abandoned by any waiter, read
+#: at call time.  Two minutes matches the default per-experiment
+#: timeout: a healthy claimant either stores or releases well within
+#: it.
+CLAIM_TTL_S = 120.0
 
 _DIGEST_BYTES = 32
 
@@ -453,11 +456,14 @@ class ResultCache:
     def claim(self, experiment_id: str, fingerprint: str) -> bool:
         """Try to lease the in-flight entry; True if this process won.
 
-        The claim file is created with ``O_CREAT | O_EXCL`` so exactly
-        one of any number of simultaneous claimants succeeds.  Failure
-        to create for any other reason (read-only cache, I/O error) is
-        reported as an acquired claim: claims are an optimisation, and
-        a cache that cannot hold leases must never block computation.
+        The body is written to a unique temp file first and then
+        hard-linked to the claim path, so the claim appears with its
+        content and exactly one of any number of simultaneous
+        claimants succeeds (the others' links raise
+        ``FileExistsError``).  Failure for any other reason (read-only
+        cache, I/O error, no hard links) is reported as an acquired
+        claim: claims are an optimisation, and a cache that cannot
+        hold leases must never block computation.
         """
         path = self.claim_path(experiment_id, fingerprint)
         body = json.dumps({
@@ -465,20 +471,26 @@ class ResultCache:
             "host": socket.gethostname(),
             "created_at": wall_now(),
         }).encode("utf-8")
+        tmp = path.parent / (f".tmp-{experiment_id}-{os.getpid()}"
+                             f"-{next(_tmp_counter)}")
         try:
             ensure_dir(path.parent)
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+            fd = os.open(tmp, os.O_CREAT | os.O_TRUNC | os.O_WRONLY,
                          0o644)
+            try:
+                os.write(fd, body)
+            finally:
+                os.close(fd)
+            os.link(tmp, path)
         except FileExistsError:
-            return False
+            return False  # another claimant's link landed first
         except (OSError, ReproError):
             return True
-        try:
-            os.write(fd, body)
-        except OSError:
-            pass
         finally:
-            os.close(fd)
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
         self._claims += 1
         add_counter("cache.claims")
         return True
@@ -495,10 +507,9 @@ class ResultCache:
             self.claim_path(experiment_id, fingerprint))
 
     @staticmethod
-    def claim_is_stale(info: ClaimInfo,
-                       ttl_s: float = DEFAULT_CLAIM_TTL_S) -> bool:
+    def claim_is_stale(info: ClaimInfo) -> bool:
         """True when a waiter may break this claim and take over."""
-        if info.age_s() > ttl_s:
+        if info.age_s() > CLAIM_TTL_S:
             return True
         return info.holder_alive() is False
 
@@ -533,8 +544,7 @@ class ResultCache:
                 return None
             return ClaimInfo(pid=0, host="", created_at=0.0)
 
-    def sweep_stale_claims(self,
-                           ttl_s: float = DEFAULT_CLAIM_TTL_S) -> int:
+    def sweep_stale_claims(self) -> int:
         """Break every stale claim under the objects dir; returns count.
 
         Waiters already break a dead-pid claim the moment they contest
@@ -555,7 +565,7 @@ class ResultCache:
             return 0
         for path in claim_paths:
             info = self._claim_info_at(path)
-            if info is None or not self.claim_is_stale(info, ttl_s):
+            if info is None or not self.claim_is_stale(info):
                 continue
             try:
                 path.unlink()
@@ -580,20 +590,6 @@ class ResultCache:
                        self.objects_dir.glob("*.rpc" + CLAIM_SUFFIX))
         except OSError:
             return 0
-
-    def clear(self) -> int:
-        """Delete every cache object; returns the number removed."""
-        removed = 0
-        for directory in (self.objects_dir, self.quarantine_dir):
-            if not directory.is_dir():
-                continue
-            for path in directory.glob("*.rpc*"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
 
     def __len__(self) -> int:
         if not self.objects_dir.is_dir():

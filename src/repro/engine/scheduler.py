@@ -82,11 +82,8 @@ from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.engine.cache import (
-    DEFAULT_CLAIM_TTL_S,
-    ResultCache,
-    runner_fingerprint,
-)
+from repro.engine import cache as engine_cache
+from repro.engine.cache import ResultCache, runner_fingerprint
 from repro.engine.cpus import (
     BlasPool,
     cap_blas_threads,
@@ -141,6 +138,13 @@ DEFAULT_CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 EXECUTOR_PROCESS = "process"
 EXECUTOR_INLINE = "inline"
+
+#: How often a task that lost a cache claim polls the foreign lease
+#: for the winner's stored result; read at call time.
+CLAIM_POLL_S = 0.05
+
+#: Spacing between a failing task's attempts; read at call time.
+RETRY_BACKOFF = BackoffPolicy()
 
 #: Process-executor sweeps launching workers in this process (a service
 #: runs one per busy dispatcher).  The CPUs are the process's, so each
@@ -247,15 +251,7 @@ class EngineConfig:
     cache_enabled: bool = True
     cache_dir: Path = field(default_factory=lambda: DEFAULT_CACHE_DIR)
     executor: str = EXECUTOR_PROCESS
-    backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     fault_plan: FaultPlan | None = None
-    #: In-flight cache entries are leased so concurrent sweeps over
-    #: the same cache directory never compute the same key twice: the
-    #: claim loser polls for the winner's stored result instead of
-    #: launching a worker.  Claims are advisory and TTL-bounded --
-    #: a crashed claimant's lease goes stale and is broken.
-    claim_ttl_s: float = DEFAULT_CLAIM_TTL_S
-    claim_poll_s: float = 0.05
     #: Optional no-arg callable invoked whenever the sweep makes
     #: genuine progress (a task finishes, a cache hit lands).  The
     #: service daemon points this at the job's heartbeat so its
@@ -276,12 +272,6 @@ class EngineConfig:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.executor not in (EXECUTOR_PROCESS, EXECUTOR_INLINE):
             raise ValueError(f"unknown executor {self.executor!r}")
-        if self.claim_ttl_s <= 0:
-            raise ValueError(
-                f"claim_ttl_s must be > 0, got {self.claim_ttl_s}")
-        if self.claim_poll_s <= 0:
-            raise ValueError(
-                f"claim_poll_s must be > 0, got {self.claim_poll_s}")
 
     @property
     def effective_journal_path(self) -> Path | None:
@@ -756,7 +746,7 @@ class ExecutionEngine:
         runner), ``"hit"`` (the foreign claimant stored the result
         while we waited; a cache-hit record was emitted), or ``"wait"``
         (a live foreign claim exists -- poll again in
-        :attr:`EngineConfig.claim_poll_s`).  A stale claim (dead or
+        :data:`CLAIM_POLL_S`).  A stale claim (dead or
         TTL-expired holder) is broken and re-contested; a waiter that
         exceeds its own TTL-sized budget runs anyway, so claims can
         delay but never deadlock a sweep.
@@ -791,10 +781,9 @@ class ExecutionEngine:
                 continue  # lease vanished between checks; re-contest
             if task.claim_wait_start == 0.0:
                 task.claim_wait_start = now
-                task.claim_deadline = now + self.config.claim_ttl_s
+                task.claim_deadline = now + engine_cache.CLAIM_TTL_S
                 self.cache.note_claim_wait()
-            if self.cache.claim_is_stale(holder,
-                                         self.config.claim_ttl_s):
+            if self.cache.claim_is_stale(holder):
                 self.cache.break_claim(task.experiment_id,
                                        task.fingerprint)
                 continue
@@ -868,7 +857,7 @@ class ExecutionEngine:
     def _schedule_retry(self, task: _Task,
                         pending: deque[_Task]) -> None:
         """Requeue with exponential backoff and deterministic jitter."""
-        delay = self.config.backoff.delay_s(
+        delay = RETRY_BACKOFF.delay_s(
             task.experiment_id, task.attempts)
         task.ready_at = time.monotonic()
         task.not_before = task.ready_at + delay
@@ -956,7 +945,7 @@ class ExecutionEngine:
             return False
         claim_state = self._acquire_claim(task, records, results)
         if claim_state == "wait":
-            task.not_before = time.monotonic() + self.config.claim_poll_s
+            task.not_before = time.monotonic() + CLAIM_POLL_S
             deferred.append(task)
         return claim_state == "run"
 

@@ -20,9 +20,10 @@ Design points:
   per-thread span stacks; worker processes build their own trace and
   ship it back as a picklable payload the parent merges
   (:meth:`Trace.to_payload` / :meth:`Trace.merge_payload`);
-* **two export formats** -- Chrome trace-event JSON (loads in
-  ``chrome://tracing`` and Perfetto) and a plain-JSON summary with the
-  per-phase breakdown (:mod:`repro.obs.export`).
+* **one trace artifact** -- Chrome trace-event JSON (loads in
+  ``chrome://tracing`` and Perfetto) that also carries the metrics
+  registry summary under ``metrics``, so ``repro trace --in`` and
+  ``repro stats --in`` both read it (:mod:`repro.obs.export`).
 
 Typical use::
 
@@ -87,13 +88,8 @@ from repro.obs.resources import (
     sample_resources,
 )
 from repro.obs.export import (
-    EXPORT_FORMATS,
-    FORMAT_CHROME,
-    FORMAT_JSON,
-    load_chrome_trace,
     phase_breakdown,
     to_chrome_events,
-    trace_summary,
     validate_chrome_trace,
     write_trace,
 )
@@ -119,9 +115,6 @@ __all__ = [
     "COUNT_BUCKETS",
     "Counters",
     "DURATION_BUCKETS",
-    "EXPORT_FORMATS",
-    "FORMAT_CHROME",
-    "FORMAT_JSON",
     "Histogram",
     "HistorySampler",
     "MetricsRegistry",
@@ -148,7 +141,6 @@ __all__ = [
     "exponential_buckets",
     "get_logger",
     "linear_buckets",
-    "load_chrome_trace",
     "logging_configured",
     "new_trace_id",
     "observe",
@@ -168,7 +160,6 @@ __all__ = [
     "to_chrome_events",
     "to_prometheus",
     "trace_context",
-    "trace_summary",
     "tracing",
     "tracing_enabled",
     "validate_chrome_trace",

@@ -1,15 +1,15 @@
-"""Trace export: Chrome trace-event JSON, plain-JSON summary, breakdown.
+"""Trace export: the one trace artifact and the phase breakdown.
 
-Two on-disk formats:
-
-* ``chrome`` -- the Trace Event Format consumed by ``chrome://tracing``
-  and `Perfetto <https://ui.perfetto.dev>`_: a ``{"traceEvents": [...]}``
-  object of complete (``"ph": "X"``) events with microsecond ``ts`` /
-  ``dur``, one lane per pid/tid, plus ``"M"`` metadata events naming
-  the processes.  Span attributes land in each event's ``args``.
-* ``json`` -- a self-describing summary (counters, per-phase breakdown,
-  and the raw span list) for scripted consumption without a trace
-  viewer.
+:func:`write_trace` writes the Trace Event Format consumed by
+``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_: a
+``{"traceEvents": [...]}`` object of complete (``"ph": "X"``) events
+with microsecond ``ts`` / ``dur``, one lane per pid/tid, plus ``"M"``
+metadata events naming the processes.  Span attributes land in each
+event's ``args``.  The object also carries a top-level ``metrics`` key
+holding :func:`~repro.obs.metrics.registry_summary` of the trace's
+registry; the format keeps any other top-level property as trace
+metadata, so the file that opens in Perfetto is the one
+``repro trace --in`` and ``repro stats --in`` read.
 
 :func:`phase_breakdown` is the aggregation behind every ``repro trace``
 table, live or from an artifact: spans grouped by name with count /
@@ -25,13 +25,8 @@ import os
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.metrics import registry_summary, round_metric
+from repro.obs.metrics import registry_summary
 from repro.obs.trace import SpanRecord, Trace
-
-FORMAT_CHROME = "chrome"
-FORMAT_JSON = "json"
-
-EXPORT_FORMATS = (FORMAT_CHROME, FORMAT_JSON)
 
 
 def to_chrome_events(trace: Trace) -> list[dict]:
@@ -65,22 +60,18 @@ def to_chrome_events(trace: Trace) -> list[dict]:
     return events
 
 
-def phase_breakdown(spans: Trace | Iterable[dict],
+def phase_breakdown(spans: Iterable[dict],
                     top: int | None = None) -> list[dict]:
-    """Aggregate spans by name into per-phase timing rows.
+    """Aggregate span dicts into per-phase timing rows.
 
-    ``spans`` is a live :class:`Trace` or span dicts as a trace
-    artifact stores them (``name``, ``duration_s`` and, for the wall
-    interval, ``start_s``).  Each row: ``{"name", "count", "total_s",
-    "mean_s", "max_s", "share"}`` where ``share`` is the phase's total
-    over the wall interval the given spans cover, earliest start to
-    latest end (concurrent spans can push the column sum past 1.0;
-    that is parallelism, not an accounting error).
+    ``spans`` are dicts with ``name``, ``duration_s`` and, for the wall
+    interval, ``start_s`` (:meth:`SpanRecord.to_json_dict` or a trace
+    artifact's events mapped back).  Each row: ``{"name", "count",
+    "total_s", "mean_s", "max_s", "share"}`` where ``share`` is the
+    phase's total over the wall interval the given spans cover,
+    earliest start to latest end (concurrent spans can push the column
+    sum past 1.0; that is parallelism, not an accounting error).
     """
-    if isinstance(spans, Trace):
-        spans = [{"name": span.name, "start_s": span.start_s,
-                  "duration_s": span.duration_s}
-                 for span in spans.spans]
     grouped: dict[str, dict] = {}
     starts: list[float] = []
     ends: list[float] = []
@@ -106,46 +97,16 @@ def phase_breakdown(spans: Trace | Iterable[dict],
     return rows
 
 
-def trace_summary(trace: Trace) -> dict:
-    """Machine-readable digest: phases, counters, metrics, span stats.
-
-    Counter values are rounded (:func:`~repro.obs.metrics.round_metric`)
-    so two sweeps that merged the same worker snapshots in a different
-    order serialise identically; the ``metrics`` section carries the
-    full registry state (gauges + histogram bounds/counts) plus derived
-    summaries, enough to rebuild the registry from the file.
-    """
-    return {
-        "name": trace.name,
-        "epoch_s": trace.epoch_s,
-        "duration_s": trace.duration_s,
-        "span_count": len(trace),
-        "processes": sorted({span.pid for span in trace.spans}),
-        "phases": phase_breakdown(trace),
-        "counters": {name: round_metric(value) for name, value
-                     in trace.counters.as_dict().items()},
+def write_trace(trace: Trace, path: Path | str) -> Path:
+    """Write ``trace`` to ``path`` as the one trace artifact: Chrome
+    trace events plus the ``metrics`` registry summary."""
+    path = Path(path)
+    payload = {
+        "displayTimeUnit": "ms",
+        "otherData": {"trace": trace.name, "epoch_s": trace.epoch_s},
+        "traceEvents": to_chrome_events(trace),
         "metrics": registry_summary(trace.metrics),
     }
-
-
-def write_trace(trace: Trace, path: Path | str,
-                format: str = FORMAT_CHROME) -> Path:
-    """Serialise ``trace`` to ``path`` in the requested format."""
-    if format not in EXPORT_FORMATS:
-        raise ValueError(f"unknown trace format {format!r}; "
-                         f"expected one of {EXPORT_FORMATS}")
-    path = Path(path)
-    if format == FORMAT_CHROME:
-        payload: dict = {
-            "displayTimeUnit": "ms",
-            "otherData": {"trace": trace.name,
-                          "epoch_s": trace.epoch_s},
-            "traceEvents": to_chrome_events(trace),
-        }
-    else:
-        payload = trace_summary(trace)
-        payload["spans"] = [span.to_json_dict()
-                            for span in trace.spans]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True), "utf-8")
     return path
@@ -198,30 +159,10 @@ def validate_chrome_trace(payload: Any) -> list[str]:
     return errors
 
 
-def load_chrome_trace(path: Path | str) -> list[dict]:
-    """Load and validate a Chrome trace file; returns its events.
-
-    Raises ``ValueError`` listing every problem when the file is empty
-    or malformed -- the CI gate behind ``scripts/check_trace.py``.
-    """
-    payload = json.loads(Path(path).read_text("utf-8"))
-    errors = validate_chrome_trace(payload)
-    if errors:
-        raise ValueError(
-            f"{path}: invalid Chrome trace: " + "; ".join(errors))
-    return (payload["traceEvents"] if isinstance(payload, dict)
-            else payload)
-
-
 __all__ = [
-    "EXPORT_FORMATS",
-    "FORMAT_CHROME",
-    "FORMAT_JSON",
     "SpanRecord",
-    "load_chrome_trace",
     "phase_breakdown",
     "to_chrome_events",
-    "trace_summary",
     "validate_chrome_trace",
     "write_trace",
 ]

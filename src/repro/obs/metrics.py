@@ -427,7 +427,7 @@ def validate_metrics_payload(payload: Any) -> list[str]:
 
     Accepts the output of either :meth:`MetricsRegistry.to_payload` or
     :func:`registry_summary`; used by ``scripts/check_trace.py`` to
-    gate the metrics sections of JSON trace artifacts.
+    gate the ``metrics`` key of trace artifacts.
     """
     errors: list[str] = []
     if not isinstance(payload, dict):

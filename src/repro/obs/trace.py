@@ -213,15 +213,6 @@ class Trace:
         with self._lock:
             return tuple(self._spans)
 
-    @property
-    def duration_s(self) -> float:
-        """Earliest span start to latest span end (0 when empty)."""
-        spans = self.spans
-        if not spans:
-            return 0.0
-        return (max(s.end_s for s in spans)
-                - min(s.start_s for s in spans))
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)

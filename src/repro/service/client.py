@@ -118,8 +118,8 @@ class ServiceClient:
 
         An error status raises :class:`ServiceError`
         (:class:`BackpressureError` for 429); a connection that fails
-        or drops before the body is read raises
-        :class:`ServiceUnavailableError`.
+        or drops before the body is read -- an error answer's body
+        included -- raises :class:`ServiceUnavailableError`.
         """
         body = (json.dumps(payload).encode("utf-8")
                 if payload is not None else None)
@@ -131,13 +131,15 @@ class ServiceClient:
             self.base_url + path, data=body, method=method,
             headers=request_headers)
         try:
-            response = urllib.request.urlopen(request, timeout=timeout_s)
+            try:
+                response = urllib.request.urlopen(request,
+                                                  timeout=timeout_s)
+            except urllib.error.HTTPError as exc:
+                raise _status_error(exc) from None
             if stream:
                 return response
             with response:
                 return response.read()
-        except urllib.error.HTTPError as exc:
-            raise _status_error(exc) from None
         except (http.client.HTTPException, OSError) as exc:
             raise ServiceUnavailableError(
                 f"cannot reach service at {self.base_url}: "

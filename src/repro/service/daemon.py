@@ -71,7 +71,6 @@ from repro.reliability.backoff import BackoffPolicy
 from repro.obs import (
     COUNT_BUCKETS,
     DURATION_BUCKETS,
-    FORMAT_JSON,
     HistorySampler,
     SamplingProfiler,
     TimeSeriesBuffer,
@@ -301,8 +300,7 @@ class ExperimentService:
         self._release_telemetry()
         if self.config.trace_out is not None:
             try:
-                write_trace(self.trace, self.config.trace_out,
-                            format=FORMAT_JSON)
+                write_trace(self.trace, self.config.trace_out)
             except OSError:
                 pass
 

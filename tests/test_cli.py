@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis.experiments import EXPERIMENTS, Experiment
 from repro.cli import _print_result, main
-from repro.obs import load_chrome_trace
+from repro.engine import DEFAULT_CACHE_DIR
+from repro.obs import validate_chrome_trace
 
 
 def test_list_command(capsys):
@@ -144,6 +145,57 @@ def test_run_all_unknown_id_exits_2(capsys, tmp_path):
     assert "E-BOGUS" in err and "known ids" in err
 
 
+#: (flag, help text) of every sweep flag ``run-all``, ``trace`` and
+#: ``stats`` share.
+SWEEP_FLAGS = (
+    ("id", "experiment ids (default: all)"),
+    ("--jobs", "worker processes (default: $REPRO_WORKERS if set, "
+               "else min(4, CPUs))"),
+    ("--workers", "worker processes"),
+    ("--no-cache", "bypass the result cache"),
+    ("--cache-dir", f"cache directory (default: {DEFAULT_CACHE_DIR})"),
+    ("--timeout", "per-experiment timeout in seconds"),
+    ("--retries", "retries per failing experiment"),
+)
+
+
+@pytest.mark.parametrize("command", ["run-all", "trace", "stats"])
+def test_sweep_commands_list_the_same_sweep_flags(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, help_text in SWEEP_FLAGS:
+        assert f" {flag} " in text, flag
+        assert help_text in text, flag
+
+
+@pytest.mark.parametrize("command", ["run-all", "trace", "stats"])
+def test_sweep_commands_share_usage_errors(command, capsys, tmp_path,
+                                           monkeypatch):
+    """Every sweep command exits 2 with the same message on a bad
+    ``--jobs``, a bad ``REPRO_WORKERS`` or an unknown id; ``trace``
+    writes no artifact."""
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    out_path = tmp_path / "trace.json"
+    argv = [command, "--cache-dir", str(tmp_path / "cache")]
+    if command == "trace":
+        argv += ["--out", str(out_path)]
+    assert main(argv + ["--jobs", "0", "E-T1"]) == 2
+    assert capsys.readouterr().err \
+        == "error: jobs must be >= 1, got 0\n"
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_WORKERS", "many")
+        assert main(argv + ["E-T1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: REPRO_WORKERS must be a positive integer, "
+        "got 'many'\n")
+    assert main(argv + ["--jobs", "1", "E-BOGUS"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unknown experiment(s) ['E-BOGUS']; known ids: [")
+    assert not out_path.exists()
+
+
 def test_run_all_failure_exits_1(capsys, tmp_path, monkeypatch):
     def exploding_runner():
         raise RuntimeError("sweep failure")
@@ -261,22 +313,19 @@ def test_trace_command_writes_chrome_trace(capsys, tmp_path):
     assert "cache.misses" in out     # counter table
     assert "2 total: 2 ok" in out    # metrics summary
     assert str(out_path) in out
-    events = load_chrome_trace(out_path)  # validates on load
-    names = {event["name"] for event in events
+    payload = json.loads(out_path.read_text())
+    assert validate_chrome_trace(payload) == []
+    names = {event["name"] for event in payload["traceEvents"]
              if event.get("ph") == "X"}
     assert "engine.sweep" in names and "engine.run" in names
 
 
-def test_trace_command_json_format(capsys, tmp_path):
-    out_path = tmp_path / "trace.json"
-    code = main(["trace", "--format", "json", "--jobs", "2",
-                 "--cache-dir", str(tmp_path / "cache"),
-                 "--out", str(out_path), "E-T1"])
-    assert code == 0
-    payload = json.loads(out_path.read_text())
-    assert payload["span_count"] == len(payload["spans"]) > 0
-    assert any(row["name"] == "engine.run"
-               for row in payload["phases"])
+def test_trace_format_flag_is_gone(capsys, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "--format", "json",
+              "--in", str(tmp_path / "absent.json")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_trace_in_missing_artifact_is_no_data_exit_0(capsys,
@@ -297,13 +346,13 @@ def test_trace_in_unparseable_artifact_is_no_data_exit_0(capsys,
 def test_trace_in_filters_spans_by_job_and_trace_id(capsys,
                                                     tmp_path):
     artifact = tmp_path / "trace.json"
-    span = {"name": "engine.run", "start_s": 0.0, "duration_s": 0.5,
-            "pid": 11, "tid": 1, "depth": 0, "parent": None}
-    artifact.write_text(json.dumps({"spans": [
-        span | {"attributes": {"trace_id": "tid-a", "job_id": "j-1"}},
-        span | {"pid": 12,
-                "attributes": {"trace_id": "tid-a", "job_id": "j-1"}},
-        span | {"attributes": {"trace_id": "tid-b", "job_id": "j-2"}},
+    event = {"name": "engine.run", "cat": "repro", "ph": "X",
+             "ts": 0.0, "dur": 5e5, "pid": 11, "tid": 1}
+    artifact.write_text(json.dumps({"traceEvents": [
+        event | {"args": {"trace_id": "tid-a", "job_id": "j-1"}},
+        event | {"pid": 12,
+                 "args": {"trace_id": "tid-a", "job_id": "j-1"}},
+        event | {"args": {"trace_id": "tid-b", "job_id": "j-2"}},
     ]}), encoding="utf-8")
     assert main(["trace", "--in", str(artifact),
                  "--trace-id", "tid-a"]) == 0
@@ -327,35 +376,23 @@ def _phase_table(out):
     return rows
 
 
-def test_trace_live_and_offline_breakdowns_agree(capsys, tmp_path,
-                                                 monkeypatch):
-    """One traced sweep, exported in both formats: the live table and
-    ``--in`` on either artifact show the same rows, shares included
-    (each is a phase's total over the wall interval of the spans)."""
-    import repro.cli as cli
-    from repro.obs import write_trace
-
-    chrome = tmp_path / "trace.chrome.json"
-
-    def write_both(trace, path, format):
-        write_trace(trace, chrome, format="chrome")
-        return write_trace(trace, path, format=format)
-
-    monkeypatch.setattr(cli, "write_trace", write_both)
+def test_trace_live_and_offline_breakdowns_agree(capsys, tmp_path):
+    """One traced sweep: the live table and ``--in`` on its artifact
+    show the same rows, shares included (each is a phase's total over
+    the wall interval of the spans)."""
     artifact = tmp_path / "trace.json"
-    assert main(["trace", "--format", "json", "--jobs", "2",
+    assert main(["trace", "--jobs", "2",
                  "--no-cache", "--cache-dir", str(tmp_path / "cache"),
                  "--out", str(artifact), "E-T1", "E-T2"]) == 0
     live = _phase_table(capsys.readouterr().out)
     assert "engine.sweep" in live
-    for path in (artifact, chrome):
-        assert main(["trace", "--in", str(path)]) == 0
-        offline = _phase_table(capsys.readouterr().out)
-        assert list(offline) == list(live)
-        for name, (count, total_s, share) in live.items():
-            assert offline[name][0] == count
-            assert offline[name][1] == pytest.approx(total_s, abs=1.01e-4)
-            assert offline[name][2] == pytest.approx(share, abs=0.11)
+    assert main(["trace", "--in", str(artifact)]) == 0
+    offline = _phase_table(capsys.readouterr().out)
+    assert list(offline) == list(live)
+    for name, (count, total_s, share) in live.items():
+        assert offline[name][0] == count
+        assert offline[name][1] == pytest.approx(total_s, abs=1.01e-4)
+        assert offline[name][2] == pytest.approx(share, abs=0.11)
 
 
 def test_stats_live_and_offline_tables_agree(capsys, tmp_path,
@@ -405,13 +442,39 @@ def test_stats_in_empty_payload_is_no_data_exit_0(capsys, tmp_path):
 
 def test_stats_in_reads_trace_artifact_metrics(capsys, tmp_path):
     artifact = tmp_path / "trace.json"
-    assert main(["trace", "--format", "json", "--jobs", "2",
+    assert main(["trace", "--jobs", "2",
                  "--cache-dir", str(tmp_path / "cache"),
                  "--out", str(artifact), "E-T1"]) == 0
     capsys.readouterr()
     assert main(["stats", "--in", str(artifact)]) == 0
     out = capsys.readouterr().out
     assert "cache.misses" in out
+
+
+def test_stats_in_renders_a_trace_artifact_as_its_live_registry(
+        capsys, tmp_path, monkeypatch):
+    """``stats --in`` on a default ``repro trace`` artifact prints the
+    table the sweep's live registry gives."""
+    import repro.cli as cli
+    from repro.obs import registry_summary
+
+    traces = []
+
+    class RecordingTrace(cli.Trace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            traces.append(self)
+
+    monkeypatch.setattr(cli, "Trace", RecordingTrace)
+    artifact = tmp_path / "trace.json"
+    assert main(["trace", "--jobs", "2", "--no-cache",
+                 "--cache-dir", str(tmp_path / "cache"),
+                 "--out", str(artifact), "E-T2", "E-F1"]) == 0
+    capsys.readouterr()
+    assert main(["stats", "--in", str(artifact)]) == 0
+    expected = cli._stats_tables(registry_summary(traces[0].metrics))
+    assert "run latency by experiment family" in expected
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_profile_command_inline(capsys, tmp_path):

@@ -21,6 +21,7 @@ from repro.engine import (
     run_experiments,
     runner_fingerprint,
 )
+import repro.engine.cache as engine_cache
 from repro.engine.cache import ensure_dir
 from repro.engine.cpus import cap_blas_threads, openblas_pools, usable_cpus
 import repro.engine.scheduler as scheduler
@@ -726,8 +727,8 @@ def test_inline_executor_matches_process_results(tmp_path, monkeypatch,
     _inject(monkeypatch, "E-EQ-FLAKY", flaky_runner)
     _inject(monkeypatch, "E-EQ-STORED", stored_runner)
     noops = _inject_noops(monkeypatch, 13)
-    config = _config(tmp_path, executor=executor, jobs=jobs, retries=1,
-                     backoff=NO_BACKOFF)
+    monkeypatch.setattr(scheduler, "RETRY_BACKOFF", NO_BACKOFF)
+    config = _config(tmp_path, executor=executor, jobs=jobs, retries=1)
     ResultCache(config.cache_dir).put(
         "E-EQ-STORED", runner_fingerprint("E-EQ-STORED", stored_runner),
         {"value": "stored"})
@@ -834,16 +835,15 @@ def test_torn_cache_entry_recomputed_on_warm_sweep(tmp_path):
         == again.results["E-T2"]["summary"]
 
 
-def test_retry_backoff_spaces_attempts(tmp_path):
+def test_retry_backoff_spaces_attempts(tmp_path, monkeypatch):
     plan = FaultPlan("t", (FaultSpec("transient", "E-T2"),))
-    policy = BackoffPolicy(base_s=0.2, factor=1.0, max_s=0.2,
-                           jitter=0.0)
+    monkeypatch.setattr(scheduler, "RETRY_BACKOFF", BackoffPolicy(
+        base_s=0.2, factor=1.0, max_s=0.2, jitter=0.0))
     start = time.monotonic()
     sweep = run_experiments(
         ["E-T2"],
         config=_config(tmp_path, retries=1, fault_plan=plan,
-                       backoff=policy, executor="inline",
-                       cache_enabled=False))
+                       executor="inline", cache_enabled=False))
     elapsed = time.monotonic() - start
     assert sweep.records[0].attempts == 2
     assert elapsed >= 0.2  # the retry waited out the backoff delay
@@ -930,10 +930,10 @@ def test_retry_recheck_serves_entry_stored_by_concurrent_sweep(
         raise RuntimeError("flaky dependency")
 
     _inject(monkeypatch, "E-RACE", always_failing)
-    policy = BackoffPolicy(base_s=0.01, factor=1.0, max_s=0.01,
-                           jitter=0.0)
+    monkeypatch.setattr(scheduler, "RETRY_BACKOFF", BackoffPolicy(
+        base_s=0.01, factor=1.0, max_s=0.01, jitter=0.0))
     engine = ExecutionEngine(_config(
-        tmp_path, executor="inline", retries=1, backoff=policy))
+        tmp_path, executor="inline", retries=1))
     calls = {"n": 0}
 
     def racing_get(experiment_id, fingerprint):
@@ -1117,6 +1117,40 @@ def test_corrupt_claim_file_reads_as_stale(tmp_path):
     assert ResultCache.claim_is_stale(holder)
 
 
+def test_a_claim_appears_with_its_body(tmp_path, monkeypatch):
+    """A claimant stalled before its body is on disk is invisible to
+    waiters: they see no claim or the claimant's own, never the
+    zero-stamp holder that a staleness check would break."""
+    cache = _claims_cache(tmp_path)
+    writing = threading.Event()
+    release = threading.Event()
+    real_write = os.write
+
+    def stalled_write(fd, data):
+        if threading.current_thread().name == "claimant":
+            writing.set()
+            release.wait(timeout=10.0)
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", stalled_write)
+    won = []
+    claimant = threading.Thread(
+        target=lambda: won.append(cache.claim("E-T1", "f" * 64)),
+        name="claimant")
+    claimant.start()
+    try:
+        assert writing.wait(timeout=10.0)
+        holder = cache.claim_holder("E-T1", "f" * 64)
+    finally:
+        release.set()
+        claimant.join(timeout=10.0)
+    assert holder is None or holder.pid == os.getpid()
+    assert won == [True]
+    assert cache.claim_holder("E-T1", "f" * 64).pid == os.getpid()
+    assert [path.name for path in cache.objects_dir.iterdir()] \
+        == [cache.claim_path("E-T1", "f" * 64).name]  # no temp left
+
+
 def test_sweep_waits_on_foreign_claim_then_reads_stored_result(
         tmp_path, monkeypatch):
     """The claim loser never recomputes: it polls the lease and is
@@ -1133,8 +1167,8 @@ def test_sweep_waits_on_foreign_claim_then_reads_stored_result(
     cache = ResultCache(tmp_path / "cache")
     assert cache.claim("E-T1", fingerprint)  # "foreign" live claim
 
-    config = _config(tmp_path, jobs=1, executor="inline",
-                     claim_poll_s=0.01)
+    monkeypatch.setattr(scheduler, "CLAIM_POLL_S", 0.01)
+    config = _config(tmp_path, jobs=1, executor="inline")
     done = {}
 
     def sweep():
@@ -1169,8 +1203,9 @@ def test_expired_claim_ttl_lets_the_waiter_take_over(
     cache = ResultCache(tmp_path / "cache")
     assert cache.claim("E-T1", fingerprint)  # held by us, never freed
 
-    config = _config(tmp_path, jobs=1, executor="inline",
-                     claim_ttl_s=0.1, claim_poll_s=0.01)
+    monkeypatch.setattr(engine_cache, "CLAIM_TTL_S", 0.1)
+    monkeypatch.setattr(scheduler, "CLAIM_POLL_S", 0.01)
+    config = _config(tmp_path, jobs=1, executor="inline")
     sweep = ExecutionEngine(config).run(["E-T1"])
     assert sweep.records[0].status == "ok"
     assert calls == [1]  # the stale lease was broken, the task ran

@@ -1,6 +1,8 @@
 """The observability layer: spans, counters, traces, exports."""
 
 import json
+import pathlib
+import sys
 import threading
 import time
 
@@ -8,17 +10,14 @@ import pytest
 
 from repro.obs import (
     Counters,
-    SpanRecord,
     Trace,
     add_counter,
     current_trace,
-    load_chrome_trace,
     phase_breakdown,
     record_span,
     reset_tracing,
     span,
     to_chrome_events,
-    trace_summary,
     tracing,
     tracing_enabled,
     validate_chrome_trace,
@@ -259,8 +258,10 @@ def _sample_trace():
 
 def test_chrome_trace_round_trip(tmp_path):
     trace = _sample_trace()
-    path = write_trace(trace, tmp_path / "trace.json", format="chrome")
-    events = load_chrome_trace(path)  # validates on load
+    path = write_trace(trace, tmp_path / "trace.json")
+    payload = json.loads(path.read_text())
+    assert validate_chrome_trace(payload) == []
+    events = payload["traceEvents"]
     complete = [e for e in events if e["ph"] == "X"]
     meta = [e for e in events if e["ph"] == "M"]
     assert len(complete) == 3
@@ -275,32 +276,13 @@ def test_chrome_trace_round_trip(tmp_path):
     assert isinstance(run["pid"], int) and isinstance(run["tid"], int)
 
 
-def test_json_export_contains_summary_and_spans(tmp_path):
-    trace = _sample_trace()
-    path = write_trace(trace, tmp_path / "t.json", format="json")
-    payload = json.loads(path.read_text())
-    assert payload["name"] == "sample"
-    assert payload["span_count"] == 3
-    assert payload["counters"] == {"cache.misses": 2}
-    assert {row["name"] for row in payload["phases"]} \
-        == {"engine.sweep", "engine.run"}
-    assert len(payload["spans"]) == 3
-    restored = [SpanRecord.from_json_dict(s) for s in payload["spans"]]
-    assert {r.name for r in restored} \
-        == {"engine.sweep", "engine.run"}
-
-
-def test_write_trace_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        write_trace(Trace(), tmp_path / "t.json", format="pprof")
-
-
 def test_phase_breakdown_aggregates_and_sorts():
     trace = Trace()
     trace.record("slow", 0.0, 2.0)
     trace.record("fast", 0.0, 0.5)
     trace.record("fast", 2.0, 0.5)
-    rows = phase_breakdown(trace)
+    spans = [span.to_json_dict() for span in trace.spans]
+    rows = phase_breakdown(spans)
     assert [row["name"] for row in rows] == ["slow", "fast"]
     fast = rows[1]
     assert fast["count"] == 2
@@ -309,15 +291,7 @@ def test_phase_breakdown_aggregates_and_sorts():
     assert fast["max_s"] == pytest.approx(0.5)
     # traced interval is 0.0 .. 2.5
     assert fast["share"] == pytest.approx(1.0 / 2.5)
-    assert phase_breakdown(trace, top=1) == rows[:1]
-
-
-def test_trace_summary_counts_processes():
-    trace = _sample_trace()
-    summary = trace_summary(trace)
-    assert summary["span_count"] == 3
-    assert len(summary["processes"]) == 1
-    assert summary["duration_s"] > 0
+    assert phase_breakdown(spans, top=1) == rows[:1]
 
 
 def test_validate_chrome_trace_flags_malformed_payloads():
@@ -334,11 +308,23 @@ def test_validate_chrome_trace_flags_malformed_payloads():
     assert validate_chrome_trace([good]) == []  # bare-array form
 
 
-def test_load_chrome_trace_raises_on_malformed_file(tmp_path):
+def _check_trace(argv):
+    """Run ``scripts/check_trace.py`` in-process; its exit code."""
+    scripts = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+    sys.path.insert(0, str(scripts))
+    try:
+        from check_trace import main as check_trace_main
+    finally:
+        sys.path.pop(0)
+    return check_trace_main([str(arg) for arg in argv])
+
+
+def test_check_trace_rejects_a_trace_with_no_complete_events(tmp_path,
+                                                             capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"traceEvents": []}))
-    with pytest.raises(ValueError):
-        load_chrome_trace(path)
+    assert _check_trace([path]) == 1
+    assert "invalid Chrome trace" in capsys.readouterr().err
 
 
 # -- exports of metric-rich traces ------------------------------------
@@ -359,16 +345,36 @@ def _metric_rich_trace():
 
 def test_chrome_export_with_metrics_loads_through_validator(tmp_path):
     trace = _metric_rich_trace()
-    path = write_trace(trace, tmp_path / "rich.json", format="chrome")
-    events = load_chrome_trace(path)  # raises if the gate rejects it
-    assert any(event.get("ph") == "X" for event in events)
+    path = write_trace(trace, tmp_path / "rich.json")
+    payload = json.loads(path.read_text())
+    assert validate_chrome_trace(payload) == []
+    assert any(event.get("ph") == "X"
+               for event in payload["traceEvents"])
+
+
+def test_check_trace_validates_the_artifact_metrics(tmp_path, capsys):
+    path = write_trace(_metric_rich_trace(), tmp_path / "rich.json")
+    assert _check_trace([path]) == 0
+    assert "1 gauge(s)" in capsys.readouterr().out
+    payload = json.loads(path.read_text())
+    payload["metrics"]["histograms"][0]["counts"].append(1)
+    path.write_text(json.dumps(payload))
+    assert _check_trace([path]) == 1
+    assert "invalid metrics" in capsys.readouterr().err
+    del payload["metrics"]
+    path.write_text(json.dumps(payload))
+    assert _check_trace([path]) == 1
+    assert "invalid metrics" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        _check_trace([path, "--kind", "json"])  # one trace kind only
+    assert excinfo.value.code == 2
 
 
 def test_json_export_round_trips_histograms_and_gauges(tmp_path):
     from repro.obs import MetricsRegistry, validate_metrics_payload
 
     trace = _metric_rich_trace()
-    path = write_trace(trace, tmp_path / "rich.json", format="json")
+    path = write_trace(trace, tmp_path / "rich.json")
     payload = json.loads(path.read_text())
     metrics = payload["metrics"]
     assert validate_metrics_payload(metrics) == []

@@ -6,6 +6,7 @@ import gc
 import http.client
 import io
 import json
+import socket
 import threading
 import urllib.error
 import warnings
@@ -14,8 +15,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import repro.service.client as client_module
+from repro.reliability import NO_BACKOFF
 from repro.service import BackpressureError, ServiceClient, ServiceError
-from repro.service.client import _status_error
+from repro.service.client import ServiceUnavailableError, _status_error
 
 _ANSWERS = {
     404: {"error": "unknown job 'job-missing'"},
@@ -99,3 +102,48 @@ def test_status_error_closes_the_response_it_reads(status):
     assert body.closed
     assert error.status == status
     assert error.payload == _ANSWERS[status]
+
+
+@pytest.fixture()
+def stalling_server():
+    """Answers each request with a 404 head promising 100 body bytes,
+    sends 10 of them and stalls; yields the URL and the request log."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    done = threading.Event()
+    requests, connections = [], []
+
+    def serve():
+        while not done.is_set():
+            try:
+                connection, _ = listener.accept()
+            except TimeoutError:
+                continue
+            connections.append(connection)
+            requests.append(connection.recv(65536))
+            connection.sendall(
+                b"HTTP/1.1 404 Not Found\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n"
+                b'{"error": ')
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{listener.getsockname()[1]}", requests
+    done.set()
+    thread.join(timeout=10.0)
+    for connection in connections:
+        connection.close()
+    listener.close()
+
+
+def test_a_stalled_error_body_is_service_unavailable(stalling_server,
+                                                     monkeypatch):
+    """A timeout while reading an error answer's body is a connection
+    failure, so ``_send`` retries it like any other."""
+    url, requests = stalling_server
+    monkeypatch.setattr(client_module, "RETRY_BACKOFF", NO_BACKOFF)
+    client = ServiceClient(url, timeout_s=0.3, retries=1)
+    with pytest.raises(ServiceUnavailableError, match="timed out"):
+        client._request("GET", "/v1/x")
+    assert len(requests) == 2

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import queue
+import re
 import socket
 import threading
 import time
@@ -656,7 +657,10 @@ def test_store_prune_route(daemon, monkeypatch):
 
 
 def test_shutdown_drains_and_writes_trace(daemon, tmp_path,
-                                          monkeypatch):
+                                          monkeypatch, capsys):
+    from repro.cli import main
+    from repro.obs import validate_chrome_trace
+
     _inject(monkeypatch, "E-T1", lambda: 1)
     job = daemon.client.submit(["E-T1"])
     daemon.client.wait(job["id"], timeout_s=30.0)
@@ -668,6 +672,18 @@ def test_shutdown_drains_and_writes_trace(daemon, tmp_path,
     # submissions after drain are refused
     with pytest.raises(ReproError):
         daemon.service.submit(JobSpec())
+    # the one trace artifact: Perfetto-valid events, whose job spans
+    # and metrics the offline readers render
+    assert validate_chrome_trace(
+        json.loads(trace_path.read_text(encoding="utf-8"))) == []
+    capsys.readouterr()
+    assert main(["trace", "--in", str(trace_path),
+                 "--job", job["id"]]) == 0
+    out = capsys.readouterr().out
+    assert int(re.search(r"(\d+) of \d+ spans from", out).group(1)) > 0
+    assert main(["stats", "--in", str(trace_path)]) == 0
+    out = capsys.readouterr().out
+    assert "histograms:" in out and "service.job_wall_s" in out
 
 
 def test_queued_jobs_cancelled_on_shutdown(daemon, monkeypatch):

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+import repro.engine.scheduler as scheduler
 from repro.engine import EngineConfig, ExecutionEngine, ResultCache
 from repro.engine.cache import runner_fingerprint
 from repro.service import StoreManager
@@ -132,8 +133,7 @@ def _race_participant(cache_dir, barrier, out_queue):
     EXPERIMENTS[RACE_ID] = Experiment(
         RACE_ID, "contended test experiment", "(test)", _race_runner)
     config = EngineConfig(jobs=1, executor="inline",
-                          cache_dir=cache_dir, timeout_s=30.0,
-                          claim_poll_s=0.02)
+                          cache_dir=cache_dir, timeout_s=30.0)
     barrier.wait()  # line both sweeps up on the same key
     sweep = ExecutionEngine(config).run([RACE_ID])
     record = sweep.records[0]
@@ -151,6 +151,8 @@ def _run_race(tmp_path, monkeypatch):
     log_path = tmp_path / "computations.log"
     log_path.touch()
     monkeypatch.setenv("REPRO_TEST_RACE_LOG", str(log_path))
+    # the forked participants inherit the lowered poll interval
+    monkeypatch.setattr(scheduler, "CLAIM_POLL_S", 0.02)
     context = multiprocessing.get_context("fork")
     barrier = context.Barrier(2)
     out_queue = context.Queue()
