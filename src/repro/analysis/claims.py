@@ -16,7 +16,6 @@ from repro.netlist.generate import random_netlist
 from repro.optim.combined import combined_flow, ordering_study
 from repro.optim.cvs import assign_cvs
 from repro.optim.dual_vth import assign_dual_vth
-from repro.optim.sizing import resizing_vs_vdd_comparison
 from repro.pdn.bumps import bump_budget
 from repro.pdn.transients import mcml_transient_advantage, wakeup_transient
 from repro.thermal.dtm import DtmController, simulate_dtm
@@ -155,15 +154,20 @@ def claim_c4_dual_vth() -> dict[str, float]:
 
 
 def claim_c5_resizing() -> dict[str, float]:
-    """E-C5: re-sizing is sublinear; Vdd reduction is quadratic."""
-    comparison = resizing_vs_vdd_comparison(_claims_netlist)
+    """E-C5: re-sizing is sublinear; Vdd reduction is quadratic.
+
+    The ordering study down-sizes one fresh copy of the design and runs
+    CVS on another, at the defaults of
+    :func:`~repro.optim.sizing.resizing_vs_vdd_comparison`, so those two
+    results are the sizing-vs-Vdd comparison: each flow runs once.
+    """
     study = ordering_study(_claims_netlist)
     flow = combined_flow(_claims_netlist())
     return {
-        "sizing_dynamic_saving": comparison.sizing.dynamic_saving,
-        "sizing_width_saving": comparison.sizing.width_saving,
-        "sizing_sublinearity": comparison.sizing.sublinearity,
-        "cvs_dynamic_saving": comparison.cvs.dynamic_saving,
+        "sizing_dynamic_saving": study.sizing.dynamic_saving,
+        "sizing_width_saving": study.sizing.width_saving,
+        "sizing_sublinearity": study.sizing.sublinearity,
+        "cvs_dynamic_saving": study.cvs_first.dynamic_saving,
         "cvs_first_low_vdd_fraction": study.cvs_first.low_vdd_fraction,
         "cvs_after_sizing_low_vdd_fraction":
             study.cvs_after_sizing.low_vdd_fraction,

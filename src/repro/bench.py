@@ -1,18 +1,23 @@
 """Perf-regression benchmark harness behind ``repro bench``.
 
 A benchmark run executes a subset of the experiment registry through
-the engine's inline executor (cache disabled, fresh
-:class:`~repro.obs.Trace` per repeat, so every repeat is a full cold
-execution with metrics attached), takes the **median of N repeats** per
+the engine's inline executor (result cache disabled, fresh
+:class:`~repro.obs.Trace` per repeat, so every repeat computes its
+result with metrics attached), takes the **median of N repeats** per
 experiment, and serialises the result as a schema-versioned snapshot::
 
     BENCH_<UTC timestamp>.json
 
+"Cold" means the result cache: the process's own memo tables (the
+gate-model table, the thermal stack's per-node constants) persist
+across repeats and across benchmarks of one run, so a benchmark's
+first repeat (``wall_times_s[0]``) is the coldest.
+
 Each snapshot records, per benchmark, the repeat wall times and their
-median, the process peak RSS, the solver-iteration total pulled from
-the ``solver.iterations_per_solve`` histogram, and the span count --
-plus a host fingerprint so a comparison across machines is visibly a
-comparison across machines.
+median, the benchmark's own peak RSS, the solver-iteration total
+pulled from the ``solver.iterations_per_solve`` histogram, and the span
+count -- plus a host fingerprint so a comparison across machines is
+visibly a comparison across machines.
 
 Comparison (:func:`compare_snapshots`) is **noise-aware**: a benchmark
 only counts as a regression when the new median exceeds the baseline by
@@ -41,8 +46,9 @@ from repro.obs import (
     Trace,
     get_logger,
     logging_configured,
+    peak_rss_kb,
+    reset_peak_rss,
     round_metric,
-    sample_resources,
     span,
     tracing,
     wall_now,
@@ -127,9 +133,14 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
                    repeats: int = DEFAULT_REPEATS) -> dict:
     """Run the benchmarks and return a schema-versioned snapshot dict.
 
-    Every repeat is a cold inline-engine execution under a fresh trace;
-    a failing repeat raises :class:`~repro.errors.ReproError`
-    immediately (a benchmark of a broken experiment measures nothing).
+    Every repeat is an inline-engine execution with the result cache
+    off, under a fresh trace; the process's memo tables stay warm from
+    earlier repeats and benchmarks.  A failing repeat raises
+    :class:`~repro.errors.ReproError` immediately (a benchmark of a
+    broken experiment measures nothing).  ``peak_rss_kb`` is the peak
+    over the benchmark's own repeats: the high-water mark is reset
+    before its first repeat and read after its last (where the reset is
+    unavailable, it is the process's lifetime peak).
     """
     if repeats < 1:
         raise ReproError(f"repeats must be >= 1, got {repeats}")
@@ -144,7 +155,7 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
         wall_times: list[float] = []
         solver_iterations = 0.0
         span_count = 0
-        peak_rss_kb = 0.0
+        reset_peak_rss()
         for _ in range(repeats):
             trace = Trace(f"bench-{experiment_id}")
             with tracing(trace):
@@ -158,15 +169,13 @@ def run_benchmarks(experiment_ids: Sequence[str] | None = None, *,
             solver_iterations += _histogram_sum(
                 trace.metrics, "solver.iterations_per_solve")
             span_count += len(trace)
-            peak_rss_kb = max(peak_rss_kb,
-                              sample_resources().rss_peak_kb)
         benchmarks.append({
             "id": experiment_id,
             "family": experiment_family(experiment_id),
             "wall_times_s": [round_metric(t) for t in wall_times],
             "median_s": round_metric(statistics.median(wall_times)),
             "best_s": round_metric(min(wall_times)),
-            "peak_rss_kb": round_metric(peak_rss_kb),
+            "peak_rss_kb": round_metric(peak_rss_kb()),
             "solver_iterations": round_metric(solver_iterations),
             "spans": span_count,
         })

@@ -83,7 +83,12 @@ class GateDesign:
             )
 
     def scaled(self, factor: float) -> "GateDesign":
-        """Return the same gate with its drive strength multiplied."""
+        """Return the same gate with its drive strength multiplied.
+
+        A factor equal to 1 returns this design itself.
+        """
+        if factor == 1.0:
+            return self
         return replace(self, size=self.size * factor)
 
 
@@ -91,8 +96,12 @@ class GateModel:
     """Delay / power model of a :class:`GateDesign` in one technology.
 
     ``device`` and ``design`` are read-only: the input capacitance is
-    computed once and drive currents are memoized per supply and
-    threshold, so a model never changes after construction.
+    computed once, drive currents are memoized per supply and threshold
+    and leakage currents per supply, threshold and temperature, so a
+    model never changes after construction and its memos only ever hold
+    what a fresh build computes.  That is what lets
+    :func:`repro.circuits.library.gate_model` share one model per
+    (cell, Vth, size) state across a process.
     """
 
     def __init__(self, device: DeviceParams, design: GateDesign | None = None,
@@ -107,6 +116,9 @@ class GateModel:
         self._input_cap_f = CAP_FACTOR * device.gate_stack.coxe * gate_area
         # (vdd_v, vth_v) -> drive current [A]
         self._drive_memo: dict[tuple[float | None, float | None], float] = {}
+        # (vdd_v, vth_v, temperature_k) -> leakage current [A]
+        self._leak_memo: dict[tuple[float | None, float | None, float],
+                              float] = {}
 
     @property
     def device(self) -> DeviceParams:
@@ -239,8 +251,17 @@ class GateModel:
         the time the PMOS leaks.  For NAND/NOR, the stacked network leaks
         through a series stack in the worst input state; we average the
         single-device and stacked states with the 10x-per-level stack
-        suppression.
+        suppression.  Memoized per ``(vdd_v, vth_v, temperature_k)``.
         """
+        key = (vdd_v, vth_v, temperature_k)
+        leak = self._leak_memo.get(key)
+        if leak is None:
+            leak = self._leak_memo[key] = self._leakage_current_a(*key)
+        return leak
+
+    def _leakage_current_a(self, vdd_v: float | None,
+                           vth_v: float | None,
+                           temperature_k: float) -> float:
         ioff_per_um = (self._model.ioff_na_um(vdd_v, vth_v, temperature_k)
                        * 1e-9)  # A/um
         wn_um = units.to_um(self.wn_m)

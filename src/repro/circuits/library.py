@@ -11,6 +11,7 @@ high/low threshold variants (for the dual-Vth flows of Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.circuits.gate import GateDesign, GateKind, GateModel
 from repro.devices.mosfet import DeviceParams
@@ -27,6 +28,10 @@ NAND2_SIZES = tuple(round(0.5 * 2 ** (i / 2), 3) for i in range(11))
 #: Default NOR2 ladder.
 NOR2_SIZES = tuple(round(0.5 * 2 ** (i / 2), 3) for i in range(8))
 
+#: Entries kept in the process's gate-model table (least recently used
+#: go first).  One pass over the paper registry visits 369 states.
+MODEL_TABLE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -41,8 +46,12 @@ class Cell:
 
     @property
     def model(self) -> GateModel:
-        """Gate model bound to this cell's device card."""
-        return GateModel(self.device, self.design)
+        """Gate model bound to this cell's device card.
+
+        Served from the process's gate-model table (:func:`gate_model`),
+        so every access, and every equal cell, shares one model.
+        """
+        return gate_model(self, None, 1.0)
 
     @property
     def input_cap_f(self) -> float:
@@ -60,6 +69,24 @@ class Cell:
     def static_power_w(self, temperature_k: float = 300.0) -> float:
         """Leakage power [W]."""
         return self.model.static_power_w(temperature_k=temperature_k)
+
+
+@lru_cache(maxsize=MODEL_TABLE_SIZE, typed=True)
+def gate_model(cell: Cell, vth_v: float | None,
+               size_factor: float) -> GateModel:
+    """The gate model of ``cell`` at a threshold override and re-sizing.
+
+    A process-wide table, bounded by :data:`MODEL_TABLE_SIZE`, keys the
+    models by value and type: equal cells (two ``build_library`` calls
+    give equal cells) share a model per ``(vth_v, size_factor)``, while
+    an equal override of another numeric type (say ``np.float32``) gets
+    its own.  Pass all three arguments positionally: the table keys on
+    the call's shape.  The design at a size factor is
+    ``design.scaled(factor)``, as
+    :meth:`repro.netlist.graph.Instance.effective_design` gives it.
+    """
+    device = cell.device if vth_v is None else cell.device.with_vth(vth_v)
+    return GateModel(device, cell.design.scaled(size_factor))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro import units
 from repro.circuits.gate import GateDesign, GateModel
-from repro.circuits.library import Cell
+from repro.circuits.library import Cell, gate_model
 from repro.errors import NetlistError
 from repro.itrs import ITRS_2000
 
@@ -70,24 +70,23 @@ class Instance:
 
     def effective_design(self) -> GateDesign:
         """Cell design with the re-sizing factor applied."""
-        if self.size_factor == 1.0:
-            return self.cell.design
         return self.cell.design.scaled(self.size_factor)
 
     def model(self) -> GateModel:
         """Gate model reflecting current Vth/size assignment.
 
-        Built once per state: the same model is returned while the cell
-        (the same object), ``vth_v`` and ``size_factor`` are unchanged.
+        While the cell, ``vth_v`` and ``size_factor`` are the same
+        objects as at the last call, that call's model is returned.
+        Otherwise the model comes from the process's gate-model table
+        (:func:`repro.circuits.library.gate_model`), which builds each
+        (cell, Vth, size) state once and shares it between instances and
+        netlists.
         """
         memo = self._model_memo
         if (memo is not None and memo[0] is self.cell
-                and memo[1] == self.vth_v and memo[2] == self.size_factor):
+                and memo[1] is self.vth_v and memo[2] is self.size_factor):
             return memo[3]
-        device = self.cell.device
-        if self.vth_v is not None:
-            device = device.with_vth(self.vth_v)
-        model = GateModel(device, self.effective_design())
+        model = gate_model(self.cell, self.vth_v, self.size_factor)
         self._model_memo = (self.cell, self.vth_v, self.size_factor, model)
         return model
 

@@ -83,8 +83,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.resources import (
     ResourceSample,
+    peak_rss_kb,
     record_resource_delta,
     record_resource_metrics,
+    reset_peak_rss,
     sample_resources,
 )
 from repro.obs.export import (
@@ -144,6 +146,7 @@ __all__ = [
     "logging_configured",
     "new_trace_id",
     "observe",
+    "peak_rss_kb",
     "phase_breakdown",
     "profile",
     "record_resource_delta",
@@ -151,6 +154,7 @@ __all__ = [
     "record_span",
     "registry_summary",
     "reset_logging",
+    "reset_peak_rss",
     "reset_tracing",
     "round_metric",
     "sample_resources",

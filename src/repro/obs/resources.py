@@ -15,6 +15,10 @@ shapes:
   start.  Used for the per-sweep and per-task accounting in the
   scheduler, whose process outlives many sweeps.
 
+A region that needs its *own* peak RSS resets the high-water mark at
+its start (:func:`reset_peak_rss`) and reads it at its end
+(:func:`peak_rss_kb`); ``repro bench`` does this per benchmark.
+
 ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; the samples
 normalise to kilobytes.  Note that a process's peak RSS is monotone,
 so a *delta* of peaks is zero unless the region set a new high-water
@@ -66,6 +70,36 @@ def sample_resources() -> ResourceSample:
         gc_collections=collections,
         monotonic_s=time.monotonic(),
     )
+
+
+def reset_peak_rss() -> None:
+    """Reset this process's RSS high-water mark to its current RSS.
+
+    Writes ``5`` to ``/proc/self/clear_refs`` (Linux), which touches
+    only this process's accounting.  Where that is unavailable nothing
+    happens, and :func:`peak_rss_kb` reports the lifetime peak.
+    """
+    try:
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as refs:
+            refs.write("5")
+    except OSError:
+        pass
+
+
+def peak_rss_kb() -> float:
+    """This process's peak RSS since the last :func:`reset_peak_rss` [KB].
+
+    ``VmHWM`` from ``/proc/self/status``; the lifetime ``ru_maxrss``
+    where that file does not exist.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return float(line.split()[1])
+    except OSError:
+        pass
+    return sample_resources().rss_peak_kb
 
 
 def record_resource_metrics(metrics: MetricsRegistry,

@@ -23,7 +23,7 @@ from typing import Callable
 
 from repro.netlist.graph import Netlist
 from repro.netlist.power import NetlistPower, netlist_power
-from repro.optim.cvs import CvsResult, assign_cvs
+from repro.optim.cvs import DEFAULT_VDD_RATIO, CvsResult, assign_cvs
 from repro.optim.dual_vth import DualVthResult, assign_dual_vth
 from repro.optim.sizing import SizingResult, downsize_netlist
 
@@ -93,10 +93,18 @@ def combined_flow(netlist: Netlist, vdd_ratio: float = 0.65,
 
 @dataclass(frozen=True)
 class OrderingStudy:
-    """CVS-first vs sizing-first comparison (Section 3.3's argument)."""
+    """CVS-first vs sizing-first comparison (Section 3.3's argument).
+
+    ``cvs_first`` and ``sizing`` are CVS and down-sizing each run once
+    on a fresh copy of the design, so they are also the two arms of
+    :func:`~repro.optim.sizing.resizing_vs_vdd_comparison` at the same
+    settings.
+    """
 
     #: CVS result when CVS runs first.
     cvs_first: CvsResult
+    #: Down-sizing result on the netlist CVS then runs on.
+    sizing: SizingResult
     #: CVS result when down-sizing has already consumed the slack.
     cvs_after_sizing: CvsResult
 
@@ -108,18 +116,22 @@ class OrderingStudy:
 
 
 def ordering_study(netlist_factory: Callable[[], Netlist],
-                   vdd_ratio: float = 0.65, activity: float = 0.1,
+                   vdd_ratio: float = DEFAULT_VDD_RATIO,
+                   activity: float = 0.1,
                    temperature_k: float = 300.0) -> OrderingStudy:
     """Quantify why multi-Vdd should precede re-sizing.
 
     ``netlist_factory`` must return identical netlists on each call.
+    One copy gets CVS; another is down-sized and then gets CVS, and the
+    study keeps that down-sizing's result as ``sizing``.
     """
     cvs_first = assign_cvs(netlist_factory(), vdd_ratio=vdd_ratio,
                            activity=activity, temperature_k=temperature_k)
 
     resized = netlist_factory()
-    downsize_netlist(resized, activity=activity,
-                     temperature_k=temperature_k)
+    sizing = downsize_netlist(resized, activity=activity,
+                              temperature_k=temperature_k)
     cvs_after = assign_cvs(resized, vdd_ratio=vdd_ratio, activity=activity,
                            temperature_k=temperature_k)
-    return OrderingStudy(cvs_first=cvs_first, cvs_after_sizing=cvs_after)
+    return OrderingStudy(cvs_first=cvs_first, sizing=sizing,
+                         cvs_after_sizing=cvs_after)

@@ -1,9 +1,11 @@
 """The perf-regression benchmark harness and its snapshot schema."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiments import EXPERIMENTS, Experiment
 from repro.bench import (
     ABS_FLOOR_S,
     BENCH_SCHEMA,
@@ -59,6 +61,25 @@ def test_run_benchmarks_produces_valid_snapshot():
     assert et2["solver_iterations"] > 0
     # snapshots must survive a JSON round trip unchanged
     assert json.loads(json.dumps(snapshot)) == snapshot
+
+
+@pytest.mark.skipif(not Path("/proc/self/clear_refs").exists(),
+                    reason="needs a resettable RSS high-water mark")
+def test_each_benchmark_reports_its_own_peak_rss(monkeypatch):
+    # The high-water mark is reset per benchmark, so a no-op benchmark
+    # run after one that touches 64 MB does not inherit that peak.
+    def touch_64_mb():
+        block = b"\x01" * (64 << 20)
+        return {"bytes": float(len(block))}
+
+    monkeypatch.setitem(EXPERIMENTS, "E-T1", Experiment(
+        "E-T1", "touches 64 MB", "Table 1", touch_64_mb))
+    monkeypatch.setitem(EXPERIMENTS, "E-T2", Experiment(
+        "E-T2", "does nothing", "Table 2", lambda: {"x": 0.0}))
+    snapshot = run_benchmarks(["E-T1", "E-T2"], repeats=1)
+    large, noop = (entry["peak_rss_kb"] for entry in snapshot["benchmarks"])
+    assert noop > 0
+    assert large - noop >= 40 * 1024
 
 
 def test_run_benchmarks_rejects_bad_arguments():

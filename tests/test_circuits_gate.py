@@ -177,6 +177,7 @@ class TestDesignValidation:
         design = GateDesign(size=2.0)
         assert design.scaled(2.0).size == 4.0
         assert design.size == 2.0
+        assert design.scaled(1.0) is design
 
     def test_nonpositive_wnl_rejected(self, device):
         with pytest.raises(ModelParameterError):
@@ -190,3 +191,26 @@ class TestDesignValidation:
         with pytest.raises(AttributeError):
             inverter.design = GateDesign(size=2.0)
         assert inverter.device is device
+
+
+@settings(max_examples=40, deadline=None)
+@given(design=st.sampled_from((
+           GateDesign(kind=GateKind.INVERTER, size=0.7),
+           GateDesign(kind=GateKind.NAND, n_inputs=2, size=2.0),
+           GateDesign(kind=GateKind.NOR, n_inputs=3, size=1.3))),
+       queries=st.lists(st.tuples(
+           st.sampled_from((None, 0.6, 1.2)),
+           st.sampled_from((None, 0.25, 0.4)),
+           st.sampled_from((300.0, 358.15, 398.0))),
+           min_size=1, max_size=12))
+def test_leakage_memo_matches_fresh_model(design, queries):
+    # The leakage memo answers each (Vdd, Vth, T) query with what a
+    # fresh model computes for it, whatever it was asked before.
+    device = device_for_node(100)
+    model = GateModel(device, design)
+    for vdd, vth, temperature in queries:
+        fresh = GateModel(device, design)
+        assert model.leakage_current_a(vdd, vth, temperature) \
+            == fresh.leakage_current_a(vdd, vth, temperature)
+        assert model.static_power_w(vdd, vth, temperature) \
+            == fresh.static_power_w(vdd, vth, temperature)

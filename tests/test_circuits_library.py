@@ -3,8 +3,14 @@
 import pytest
 
 from repro import units
-from repro.circuits.gate import GateDesign, GateKind
-from repro.circuits.library import Cell, CellLibrary, build_library
+from repro.circuits.gate import GateDesign, GateKind, GateModel
+from repro.circuits.library import (
+    MODEL_TABLE_SIZE,
+    Cell,
+    CellLibrary,
+    build_library,
+    gate_model,
+)
 from repro.devices.params import device_for_node
 from repro.errors import InfeasibleConstraintError, ModelParameterError
 
@@ -100,6 +106,33 @@ def test_cell_properties_consistent(library):
     assert cell.input_cap_f == pytest.approx(cell.model.input_cap_f)
     assert isinstance(cell, Cell)
     assert cell.design.kind is GateKind.NAND
+
+
+def test_cell_model_is_shared_between_equal_cells():
+    # Two libraries give equal cells; Cell.model serves both from the
+    # process's gate-model table, and the model equals a fresh build.
+    first = build_library(100).cells_of_kind(GateKind.NAND)[3]
+    second = build_library(100).cells_of_kind(GateKind.NAND)[3]
+    assert first == second and first is not second
+    assert first.model is first.model
+    assert second.model is first.model
+    assert gate_model(second, None, 1.0) is first.model
+    fresh = GateModel(first.device, first.design)
+    assert first.input_cap_f == fresh.input_cap_f
+    assert first.delay_s(5e-15) == fresh.delay_s(5e-15)
+    assert first.static_power_w(358.15) \
+        == fresh.static_power_w(temperature_k=358.15)
+
+
+def test_gate_model_table_is_bounded():
+    cell = build_library(100).cells_of_kind(GateKind.INVERTER)[0]
+    gate_model.cache_clear()
+    oldest = gate_model(cell, None, 0.5)
+    for index in range(MODEL_TABLE_SIZE):
+        gate_model(cell, None, 1.0 + index / MODEL_TABLE_SIZE)
+    assert gate_model.cache_info().currsize == MODEL_TABLE_SIZE
+    # The least recently used state went first and is built afresh.
+    assert gate_model(cell, None, 0.5) is not oldest
 
 
 def test_custom_ladders():

@@ -1,5 +1,8 @@
 """Netlist DAG construction, loads, level converters."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,32 +170,75 @@ class TestInstanceState:
             0.5 * instance.cell.design.size)
 
 
+def _assert_same_model(model, fresh, supplies):
+    assert model.input_cap_f == fresh.input_cap_f
+    high_vth = fresh.device.vth_v + 0.1
+    for vdd in supplies:
+        for load in (1e-15, 8e-15):
+            assert model.delay_s(load, vdd_v=vdd) \
+                == fresh.delay_s(load, vdd_v=vdd)
+        for temperature in (300.0, 358.15):
+            assert model.static_power_w(vdd, temperature_k=temperature) \
+                == fresh.static_power_w(vdd, temperature_k=temperature)
+        assert model.static_power_w(vdd, vth_v=high_vth) \
+            == fresh.static_power_w(vdd, vth_v=high_vth)
+
+
 @settings(max_examples=20, deadline=None)
 @given(changes=st.lists(
-    st.tuples(st.integers(min_value=0, max_value=39),
+    st.tuples(st.integers(min_value=0, max_value=1),
+              st.integers(min_value=0, max_value=39),
               st.sampled_from((None, -0.05, 0.05, 0.1)),
               st.sampled_from((0.35, 0.8, 1.0, 1.25, 2.0))),
     min_size=1, max_size=15))
 def test_memoized_model_matches_fresh_build(changes):
-    # Instance.model() is memoized per (cell, vth_v, size_factor); after
-    # any sequence of changes it must equal a model built from scratch.
-    netlist = random_netlist(100, n_gates=40, seed=5)
-    names = list(netlist.topo_order())
-    supplies = (netlist.nominal_vdd_v, 0.65 * netlist.nominal_vdd_v)
-    for pick, vth_delta, size in changes:
-        instance = netlist.instances[names[pick]]
+    # Instance.model() is memoized per instance and shared through the
+    # process's gate-model table, also between two copies of a netlist
+    # generated from separate libraries.  After any sequence of Vth and
+    # size changes each model must equal one built from scratch, and
+    # equal states must share one model.
+    copies = [random_netlist(100, n_gates=40, seed=5) for _ in range(2)]
+    names = list(copies[0].topo_order())
+    supplies = (copies[0].nominal_vdd_v, 0.65 * copies[0].nominal_vdd_v)
+    for copy, pick, vth_delta, size in changes:
+        instance = copies[copy].instances[names[pick]]
         instance.model()
-        device = instance.cell.device
+        cell = instance.cell
         instance.vth_v = (None if vth_delta is None
-                          else device.vth_v + vth_delta)
+                          else cell.device.vth_v + vth_delta)
         instance.size_factor = size
-        if instance.vth_v is not None:
-            device = device.with_vth(instance.vth_v)
-        fresh = GateModel(device, instance.effective_design())
+        device = (cell.device if instance.vth_v is None
+                  else cell.device.with_vth(instance.vth_v))
+        fresh = GateModel(device, replace(
+            cell.design, size=cell.design.size * size))
         model = instance.model()
         assert instance.model() is model
-        assert model.input_cap_f == fresh.input_cap_f
-        for load in (1e-15, 8e-15):
-            for vdd in supplies:
-                assert model.delay_s(load, vdd_v=vdd) \
-                    == fresh.delay_s(load, vdd_v=vdd)
+        _assert_same_model(model, fresh, supplies)
+        twin = copies[1 - copy].instances[names[pick]]
+        assert twin.cell == cell and twin.cell is not cell
+        twin.vth_v = (None if vth_delta is None
+                      else twin.cell.device.vth_v + vth_delta)
+        twin.size_factor = size
+        assert twin.model() is model
+
+
+@pytest.mark.parametrize("field, value", [
+    ("size_factor", 0.5), ("vth_v", 0.25)])
+def test_a_float32_override_gets_its_own_model(field, value):
+    # The table keys on type as well as value: 0.5 and np.float32(0.5)
+    # are equal, but arithmetic on them differs, so each gets a model
+    # that matches its own fresh build.
+    instance = random_netlist(100, n_gates=40, seed=5).instances["g3"]
+    setattr(instance, field, value)
+    as_float = instance.model()
+    setattr(instance, field, np.float32(value))
+    as_float32 = instance.model()
+    assert as_float32 is not as_float
+    cell = instance.cell
+    device = (cell.device if instance.vth_v is None
+              else cell.device.with_vth(instance.vth_v))
+    fresh = GateModel(device, replace(
+        cell.design, size=cell.design.size * instance.size_factor))
+    _assert_same_model(as_float32, fresh, (1.2, 0.8))
+    setattr(instance, field, value)
+    assert instance.model() is as_float

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.netlist.sta as sta_module
+import repro.optim.upsize as upsize_module
 from repro.analysis.claims import _claims_netlist
+from repro.analysis.experiments import EXPERIMENTS
 from repro.errors import NetlistError
 from repro.netlist.generate import random_netlist
 from repro.netlist.sta import build_timing_index, compute_sta
@@ -247,3 +250,31 @@ def test_combined_flow_decisions_pinned():
     flow = combined_flow(_claims_netlist())
     assert (flow.cvs.n_low_vdd, flow.sizing.n_resized,
             flow.dual_vth.n_high_vth) == (301, 390, 400)
+
+
+# -- work pins: how much timing each optimization experiment does -----
+
+
+@pytest.mark.parametrize("experiment_id, trials, sta_passes", [
+    ("E-C3", 306, 1), ("E-C4", 3021, 3), ("E-C5", 4671, 3)])
+def test_flow_work_pinned(monkeypatch, experiment_id, trials, sta_passes):
+    # Timer trials and full STA passes per experiment (what perfbench
+    # traces as optim.incremental.try_changes and netlist.sta.calls):
+    # a flow run twice, or a netlist generated twice, shows up here.
+    counts = {"trials": 0, "sta": 0}
+    try_change = IncrementalTimer.try_change
+    compute = sta_module.compute_sta
+
+    def counting_try_change(self, *args, **kwargs):
+        counts["trials"] += 1
+        return try_change(self, *args, **kwargs)
+
+    def counting_compute_sta(*args, **kwargs):
+        counts["sta"] += 1
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(IncrementalTimer, "try_change", counting_try_change)
+    monkeypatch.setattr(sta_module, "compute_sta", counting_compute_sta)
+    monkeypatch.setattr(upsize_module, "compute_sta", counting_compute_sta)
+    EXPERIMENTS[experiment_id].runner()
+    assert (counts["trials"], counts["sta"]) == (trials, sta_passes)
